@@ -2,7 +2,9 @@ package repro.spark
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
+import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
+import scala.collection.concurrent.TrieMap
 import scala.util.Random
 
 import repro.core.{FrequentItemReport, InsertionOnlyND, WitnessRecord}
@@ -44,7 +46,8 @@ final case class WitnessCandidate(item: Long, count: Long, buffers: Seq[Seq[Long
 object StreamingWitness {
 
   final case class Config(nItems: Long, d: Int, c: Int, seed: Long, gate: Double = 1.0) {
-    require(c >= 2 && gate > 0 && gate <= 1.0)
+    require(c >= 2, s"approximation factor must be >= 2, got $c")
+    require(gate > 0 && gate <= 1.0, s"gate must be in (0, 1], got $gate")
     val d2: Int = InsertionOnlyND.targetSize(d, c)
     val thresholds: Vector[Int] = Vector.tabulate(c)(i => InsertionOnlyND.threshold(i, d, c))
   }
@@ -118,24 +121,39 @@ object StreamingWitness {
     }
   }
 
-  /** End-to-end micro-batched execution over an in-memory stream: feed
-    * `records` in `nBatches` chunks through a MemoryStream, run the
-    * stateful query to completion, and select the final report.
+  /** Runs the stateful query over an in-memory stream and returns the
+    * latest candidate row per item: `records` are fed through a MemoryStream
+    * in `nBatches` chunks, each processed before the next is added.
     *
-    * @return (report, per-run success flags, number of keys holding state)
+    * The query runs with min(session shuffle partitions, default
+    * parallelism) state partitions. Every state partition costs a
+    * state-store load and commit per micro-batch, even when it holds no
+    * keys, so partitions beyond the core count only add work. Spark fixes
+    * the count when the query starts, so it is set on the caller's session
+    * around `start()` only and the old value is restored afterwards; the
+    * query stays on that session, where its listeners see it.
+    *
+    * Candidates are collected by `foreachBatch`: each batch's Update-mode
+    * rows overwrite the driver-side entry of their item, so the map ends
+    * holding the latest (largest-count) row per item.
     */
-  def runMicroBatched(spark: SparkSession, records: Seq[WitnessRecord], nBatches: Int,
-                      cfg: Config): (Option[FrequentItemReport], Vector[Boolean], Int) = {
+  def latestCandidates(spark: SparkSession, records: Seq[WitnessRecord], nBatches: Int,
+                       cfg: Config): Vector[WitnessCandidate] = {
+    require(nBatches >= 1, s"nBatches must be >= 1, got $nBatches")
     import spark.implicits._
     implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
     val source = MemoryStream[WitnessEvent]
-    val queryName = s"witness_${math.abs(cfg.seed)}_${System.nanoTime()}"
-    val query = candidates(source.toDS(), cfg)
+    val latest = TrieMap.empty[Long, WitnessCandidate]
+    val writer = candidates(source.toDS(), cfg)
       .writeStream
-      .format("memory")
-      .queryName(queryName)
       .outputMode("update")
-      .start()
+      .foreachBatch { (batch: Dataset[WitnessCandidate], _: Long) =>
+        batch.collect().foreach(c => latest.update(c.item, c))
+      }
+    val key = SQLConf.SHUFFLE_PARTITIONS.key
+    val sessionPartitions = spark.conf.get(key)
+    spark.conf.set(key, math.min(sessionPartitions.toInt, spark.sparkContext.defaultParallelism).toLong)
+    val query = try writer.start() finally spark.conf.set(key, sessionPartitions)
     try {
       val events = records.zipWithIndex.map { case (r, i) =>
         WitnessEvent(r.item, r.witness, i.toLong)
@@ -145,15 +163,22 @@ object StreamingWitness {
         source.addData(batch)
         query.processAllAvailable()
       }
-      val rows = spark.table(queryName).as[WitnessCandidate].collect()
-      // Update mode emits one row per key per batch; keep the latest
-      // (largest count) per item.
-      val latest = rows.groupBy(_.item).values.map(_.maxBy(_.count)).toVector
-      val (report, succ) = select(latest, cfg)
-      (report, succ, latest.count(_.buffers.exists(_.nonEmpty)))
-    } finally {
-      query.stop()
-      spark.catalog.dropTempView(queryName)
-    }
+    } finally query.stop()
+    latest.values.toVector
+  }
+
+  /** End-to-end micro-batched execution: feed `records` in `nBatches`
+    * micro-batches through the stateful query with [[latestCandidates]]
+    * (one state partition per core, at most the session's shuffle
+    * partitions; candidates gathered by `foreachBatch`), then [[select]]
+    * the final report from the latest candidate row per item.
+    *
+    * @return (report, per-run success flags, number of keys holding state)
+    */
+  def runMicroBatched(spark: SparkSession, records: Seq[WitnessRecord], nBatches: Int,
+                      cfg: Config): (Option[FrequentItemReport], Vector[Boolean], Int) = {
+    val latest = latestCandidates(spark, records, nBatches, cfg)
+    val (report, succ) = select(latest, cfg)
+    (report, succ, latest.count(_.buffers.exists(_.nonEmpty)))
   }
 }

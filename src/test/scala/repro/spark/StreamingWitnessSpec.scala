@@ -1,6 +1,12 @@
 package repro.spark
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.streaming.StreamingQueryListener
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 
 import repro.{Oracle, SparkSpec, SynthGraphs}
 import repro.core.WitnessRecord
@@ -19,22 +25,13 @@ class StreamingWitnessSpec extends SparkSpec {
     val d = freq.values.max.toInt
     val cfg = StreamingWitness.Config(nItems = 50, d = d, c = 2, seed = 2)
     import spark.implicits._
-    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
-    val source = org.apache.spark.sql.execution.streaming.runtime.MemoryStream[WitnessEvent]
-    val q = StreamingWitness.candidates(source.toDS(), cfg)
-      .writeStream.format("memory").queryName("sw_counts").outputMode("update").start()
-    try {
-      source.addData(recs.zipWithIndex.map { case (r, i) => WitnessEvent(r.item, r.witness, i.toLong) })
-      q.processAllAvailable()
-      val latest = spark.table("sw_counts").as[WitnessCandidate].collect()
-        .groupBy(_.item).map { case (_, rs) => rs.maxBy(_.count) }.toSeq
-      val got = latest.map(c => (c.item, c.count)).toDF("item", "cnt")
-      val truth = recs.map(r => (r.item, r.witness)).toDF("item", "witness")
-      Oracle.assertEquivalent(
-        got.select(col("item"), col("cnt")),
-        "SELECT item, count(*) AS cnt FROM truth GROUP BY item",
-        "truth" -> truth)
-    } finally { q.stop(); spark.catalog.dropTempView("sw_counts") }
+    val latest = StreamingWitness.latestCandidates(spark, recs, nBatches = 1, cfg)
+    val got = latest.map(c => (c.item, c.count)).toDF("item", "cnt")
+    val truth = recs.map(r => (r.item, r.witness)).toDF("item", "witness")
+    Oracle.assertEquivalent(
+      got.select(col("item"), col("cnt")),
+      "SELECT item, count(*) AS cnt FROM truth GROUP BY item",
+      "truth" -> truth)
   }
 
   test("collection rule: buffers hold witnesses from occurrence d1 onward, capped at d2") {
@@ -109,5 +106,36 @@ class StreamingWitnessSpec extends SparkSpec {
       StreamingWitness.Config(nItems = 10, d = 4, c = 2, seed = 1, gate = 0.0))
     intercept[IllegalArgumentException](
       StreamingWitness.Config(nItems = 10, d = 4, c = 1, seed = 1))
+    val cfg = StreamingWitness.Config(nItems = 10, d = 4, c = 2, seed = 1)
+    val recs = (1 to 4).map(i => WitnessRecord(1, i.toLong))
+    for (n <- Seq(0, -3)) {
+      val e = intercept[IllegalArgumentException](
+        StreamingWitness.runMicroBatched(spark, recs, nBatches = n, cfg))
+      assert(e.getMessage.contains(s"got $n"))
+    }
+  }
+
+  test("state partitions: min(shuffle partitions, default parallelism), session conf restored") {
+    val key = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(key)
+    val expected = math.min(before.toInt, spark.sparkContext.defaultParallelism)
+    val seen = new ConcurrentLinkedQueue[Long]()
+    val listener = new StreamingQueryListener {
+      override def onQueryStarted(e: StreamingQueryListener.QueryStartedEvent): Unit = ()
+      override def onQueryProgress(e: StreamingQueryListener.QueryProgressEvent): Unit =
+        e.progress.stateOperators.headOption.foreach(op => seen.add(op.numShufflePartitions))
+      override def onQueryTerminated(e: StreamingQueryListener.QueryTerminatedEvent): Unit = ()
+    }
+    val (recs, freq) = stream(20, 200, 1.1, seed = 51)
+    val cfg = StreamingWitness.Config(nItems = 20, d = freq.values.max.toInt, c = 2, seed = 52)
+    spark.streams.addListener(listener)
+    try {
+      StreamingWitness.runMicroBatched(spark, recs, nBatches = 2, cfg)
+      // Listener events arrive asynchronously; wait for at least one.
+      eventually(timeout(Span(30, Seconds))) { assert(!seen.isEmpty) }
+    } finally spark.streams.removeListener(listener)
+    assert(seen.asScala.toSet == Set(expected.toLong),
+      s"state partitions ${seen.asScala.toSet}, expected $expected")
+    assert(spark.conf.get(key) == before, "session shuffle partitions must be restored")
   }
 }
