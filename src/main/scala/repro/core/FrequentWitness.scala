@@ -26,21 +26,14 @@ final case class FrequentItemReport(item: Long, witnesses: Vector[Long]) {
   */
 object FrequentWitness {
 
-  /** Run the insertion-only algorithm over a witness stream.
+  /** Run the insertion-only algorithm over a witness stream; returns the
+    * report (None = every run failed) and the underlying run's diagnostics.
     *
     * @param records stream of (item, witness) occurrences
     * @param nItems  number of possible items (|A|)
     * @param d       frequency threshold (promise: some item occurs >= d times)
     * @param c       approximation factor >= 2
     */
-  def run(records: IterableOnce[WitnessRecord], nItems: Long, d: Int, c: Int,
-          seed: Long): Option[FrequentItemReport] = {
-    val res = InsertionOnlyND.run(
-      records.iterator.map(r => Edge(r.item, r.witness)), nItems, d, c, seed)
-    res.output.map(nb => FrequentItemReport(nb.a, nb.neighbors))
-  }
-
-  /** Same, but returning the full diagnostics of the underlying run. */
   def runDetailed(records: IterableOnce[WitnessRecord], nItems: Long, d: Int,
                   c: Int, seed: Long): (Option[FrequentItemReport], InsertionOnlyResult) = {
     val res = InsertionOnlyND.run(

@@ -24,10 +24,3 @@ trait SpaceMeter {
   /** Peak number of words ever held. */
   def peakWords: Long = math.max(peak, currentWords)
 }
-
-object SpaceMeter {
-  /** Words needed for the degree array over n A-vertices (shared across
-    * parallel runs of Algorithm 2 — charged once).
-    */
-  def degreeTableWords(n: Long): Long = n
-}

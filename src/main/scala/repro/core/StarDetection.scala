@@ -2,7 +2,10 @@ package repro.core
 
 import scala.util.Random
 
-/** Result of Star Detection: best star found plus per-guess diagnostics. */
+/** Result of Star Detection: best star found plus per-guess diagnostics.
+  * `totalPeakWords` charges the shared degree table once plus every run's
+  * peak, as [[InsertionOnlyResult.totalPeakWords]] does.
+  */
 final case class StarResult(
     output: Option[Neighborhood],
     guesses: Vector[Int],
@@ -49,8 +52,9 @@ object StarDetection {
     val master  = new Random(seed)
     val guesses = guessLadder(n, eps)
     val s       = InsertionOnlyND.reservoirSize(n, c)
-    // One degree tracker + c runs *per guess*, all fed the doubled stream.
-    val trackers = guesses.map(_ => new DegreeTracker)
+    // c runs per guess, all fed the doubled stream; every guess sees the
+    // same degrees, so one degree table serves them all.
+    val degrees = new DegreeTracker
     val runsPerGuess = guesses.map { dGuess =>
       Vector.tabulate(c) { i =>
         new DegResSampling(
@@ -63,9 +67,9 @@ object StarDetection {
     while (it.hasNext) {
       val (u, v) = it.next()
       for (e <- List(Edge(u, v), Edge(v, u))) {
+        val nd = degrees.bump(e.a)
         var g = 0
         while (g < guesses.size) {
-          val nd = trackers(g).bump(e.a)
           val runs = runsPerGuess(g)
           var i = 0
           while (i < runs.size) { runs(i).process(e, nd); i += 1 }
@@ -81,8 +85,7 @@ object StarDetection {
       output       = best,
       guesses      = guesses,
       perGuessSize = perGuessBest.map(_.map(_.size).getOrElse(0)),
-      totalPeakWords = trackers.map(_.words).sum +
-        runsPerGuess.flatten.map(_.peakWords).sum,
+      totalPeakWords = degrees.words + runsPerGuess.flatten.map(_.peakWords).sum,
     )
   }
 }

@@ -1,5 +1,7 @@
 package repro.sketch
 
+import repro.Hashing.splitmix64
+
 /** Linear ℓ₀-sampler over a vector in Z^D updated by (coordinate, ±delta)
   * turnstile updates — the substrate of the paper's insertion-deletion
   * algorithm (Algorithm 3; Jowhari–Sağlam–Tardos style [32]).
@@ -34,17 +36,10 @@ final class L0Sampler(val domain: Long, val seed: Long, val t: Int = 6)
   // Packed (count, sum, fp) triples per level: 3 * t longs, lazily allocated.
   private val state = new Array[Array[Long]](levels)
 
-  @inline private def mix(z0: Long): Long = {
-    var z = z0 + 0x9e3779b97f4a7c15L
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z ^ (z >>> 31)
-  }
-
-  @inline private def uHash(x: Long): Long  = mix(seed ^ 0x51ed2701L ^ x)
-  @inline private def fHash(x: Long): Long  = mix(seed ^ 0x7be03ca1L ^ x)
+  @inline private def uHash(x: Long): Long  = splitmix64(seed ^ 0x51ed2701L ^ x)
+  @inline private def fHash(x: Long): Long  = splitmix64(seed ^ 0x7be03ca1L ^ x)
   @inline private def bucketOf(l: Int, x: Long): Int = {
-    val h = mix(seed ^ (l.toLong * 0xc2b2ae3d27d4eb4fL) ^ x)
+    val h = splitmix64(seed ^ (l.toLong * 0xc2b2ae3d27d4eb4fL) ^ x)
     ((h >>> 1) % t).toInt
   }
 

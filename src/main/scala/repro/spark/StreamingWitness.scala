@@ -7,6 +7,7 @@ import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode
 import scala.collection.concurrent.TrieMap
 import scala.util.Random
 
+import repro.Hashing.splitmix64
 import repro.core.{FrequentItemReport, InsertionOnlyND, WitnessRecord}
 
 /** One micro-batch input row: an item occurrence with its witness and the
@@ -52,18 +53,11 @@ object StreamingWitness {
     val thresholds: Vector[Int] = Vector.tabulate(c)(i => InsertionOnlyND.threshold(i, d, c))
   }
 
-  private def mix(z0: Long): Long = {
-    var z = z0 + 0x9e3779b97f4a7c15L
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z ^ (z >>> 31)
-  }
-
   /** Uniform (0,1] hash used for both the Bernoulli gate and the final
     * priority sample.
     */
   private def unitHash(seed: Long, run: Int, key: Long): Double = {
-    val h = mix(seed ^ (run.toLong << 32) ^ key)
+    val h = splitmix64(seed ^ (run.toLong << 32) ^ key)
     ((h >>> 11).toDouble + 1.0) / (1L << 53).toDouble
   }
 

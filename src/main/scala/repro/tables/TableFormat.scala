@@ -1,15 +1,15 @@
 package repro.tables
 
-/** Aligned plain-text table rendering shared by the bench suites and the
-  * spark-submit jobs. Each harness returns a [[TableOutput]]; the caller
-  * prints `render` and (in benches) asserts on `checks`.
+/** Aligned plain-text table rendering. Each harness returns a
+  * [[TableOutput]]; the runner ([[Tables]]) prints `render` and fails on
+  * any false `checks`.
   */
 final case class TableOutput(
     title: String,
     header: Vector[String],
     rows: Vector[Vector[String]],
     /** Named boolean assertions ("shape checks") derived from the rows —
-      * the bench suite fails if any is false.
+      * the runner exits 1 if any is false.
       */
     checks: Vector[(String, Boolean)],
     notes: Vector[String] = Vector.empty,

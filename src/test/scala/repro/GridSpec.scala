@@ -90,7 +90,7 @@ class WitnessGridSpec extends SparkSpec {
   } test(s"witness grid alpha=$alpha c=$c seed=$seed: valid witness report") {
     val (recs, freq) = SynthGraphs.zipfWitnessStream(150, 2500, alpha, seed * 97)
     val d = freq.values.max.toInt
-    val rep = core.FrequentWitness.run(recs, 150, d, c, seed = seed * 13 + c)
+    val rep = core.FrequentWitness.runDetailed(recs, 150, d, c, seed = seed * 13 + c)._1
     assert(rep.nonEmpty)
     val r = rep.get
     assert(r.witnessCount == math.max(1, d / c))

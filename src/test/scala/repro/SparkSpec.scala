@@ -4,13 +4,14 @@ import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.tables.Tables
+
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). The session's settings are those of the table runner
+  * ([[repro.tables.Tables.session]]).
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -20,14 +21,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    s.sparkContext.setLogLevel("WARN")
+    val s = Tables.session("repro")
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

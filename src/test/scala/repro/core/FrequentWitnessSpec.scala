@@ -24,7 +24,7 @@ class FrequentWitnessSpec extends SparkSpec {
   for (c <- Seq(2, 3, 4)) test(s"reports a frequent item with floor(d/c) true witnesses (c=$c)") {
     val (recs, freq) = SynthGraphs.zipfWitnessStream(nItems = 200, total = 4000, alpha = 1.1, seed = 10L + c)
     val d = freq.values.max.toInt // promise: the top item reaches d
-    val report = FrequentWitness.run(recs, nItems = 200, d = d, c = c, seed = 20L + c)
+    val report = FrequentWitness.runDetailed(recs, nItems = 200, d = d, c = c, seed = 20L + c)._1
     assert(report.nonEmpty, "promise holds, so the algorithm must succeed whp")
     val r = report.get
     assert(r.witnessCount == math.max(1, d / c))
@@ -58,7 +58,7 @@ class FrequentWitnessSpec extends SparkSpec {
     val d = freq.values.max.toInt
     assert(d >= 2, s"need a frequent part in the sample, max freq = $d")
     val c = 2
-    val report = FrequentWitness.run(recs, nItems = freq.keys.max, d = d, c = c, seed = 44)
+    val report = FrequentWitness.runDetailed(recs, nItems = freq.keys.max, d = d, c = c, seed = 44)._1
     assert(report.nonEmpty)
     val r = report.get
     assert(freq.getOrElse(r.item, 0L) >= d / c)

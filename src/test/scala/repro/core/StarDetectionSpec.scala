@@ -77,6 +77,16 @@ class StarDetectionSpec extends SparkSpec {
     }
   }
 
+  test("space charges the one degree table once, not once per guess") {
+    // One edge, n = 2, c = 2, eps = 0.5: guesses 1, 2, 3, each with 2 runs
+    // of d1 = d2 = 1 and s = ceil(sqrt(2) ln 2) = 1. Whatever its coin
+    // flips, each run holds 1 reservoir id + 1 witness = 2 words at its
+    // peak; the doubled stream puts both vertices in the degree table.
+    val res = StarDetection.run(Vector((1L, 2L)), n = 2, c = 2, eps = 0.5, seed = 5)
+    assert(res.guesses == Vector(1, 2, 3))
+    assert(res.totalPeakWords == 2 + 3 * 2 * 2)
+  }
+
   test("semi-streaming space: words are O(n polylog) not O(n * Delta)") {
     val n = 256
     val (edges, _, adj) = plantedStarGraph(n, 64, extraEdges = 4 * n, seed = 21)

@@ -1,0 +1,34 @@
+package repro.tables
+
+import org.scalatest.funsuite.AnyFunSuite
+
+/** The table runner's id handling and exit-code rule; runs no table. */
+class TablesSpec extends AnyFunSuite {
+
+  test("registry holds exactly ids 1..7, each once") {
+    assert(Tables.registry.keys.toSeq == (1 to 7).map(_.toString))
+  }
+
+  test("no ids selects all seven in order; given ids are kept as given") {
+    assert(Tables.select(Nil) == (1 to 7).map(_.toString))
+    assert(Tables.select(Seq("5", "2")) == Seq("5", "2"))
+  }
+
+  for (bad <- Seq("8", "x", "0")) test(s"unknown id '$bad' is rejected, naming the valid ids") {
+    val e = intercept[IllegalArgumentException](Tables.select(Seq("1", bad)))
+    assert(e.getMessage.contains(bad))
+    assert(e.getMessage.contains("valid ids: 1, 2, 3, 4, 5, 6, 7"))
+  }
+
+  test("failed checks are exactly the false ones, in order") {
+    def table(checks: (String, Boolean)*) =
+      TableOutput("t", Vector("h"), Vector(Vector("r")), checks.toVector)
+    val outs = Seq(
+      table("a" -> true, "b" -> false, "c" -> true),
+      table("d" -> false, "e" -> false),
+      table(),
+    )
+    assert(Tables.failedChecks(outs) == Seq("b", "d", "e"))
+    assert(Tables.failedChecks(Seq(table("a" -> true))).isEmpty)
+  }
+}
