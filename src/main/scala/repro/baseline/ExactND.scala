@@ -13,9 +13,10 @@ final class ExactND(val d: Int) extends SpaceMeter {
   require(d >= 1)
   private val stored = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
 
+  /** One word per stored vertex id + one per stored edge endpoint. */
   def process(e: Edge): Unit = {
-    val buf = stored.getOrElseUpdate(e.a, mutable.ArrayBuffer.empty[Long])
-    if (buf.size < d) { buf += e.b; touch() }
+    val buf = stored.getOrElseUpdate(e.a, { charge(1); mutable.ArrayBuffer.empty[Long] })
+    if (buf.size < d) { buf += e.b; charge(1) }
   }
 
   def processAll(edges: IterableOnce[Edge]): this.type = {
@@ -38,8 +39,4 @@ final class ExactND(val d: Int) extends SpaceMeter {
     stored.iterator.collect {
       case (a, buf) if buf.size >= d => Neighborhood(a, buf.toVector)
     }.toVector
-
-  /** One word per stored vertex id + one per stored edge endpoint. */
-  override def currentWords: Long =
-    stored.size.toLong + stored.valuesIterator.map(_.size.toLong).sum
 }

@@ -11,6 +11,8 @@ import repro.core.SpaceMeter
   * at most N/(k+1). It reports *items only*: witness recall is zero by
   * construction, which is exactly the gap the paper's algorithms close
   * (Table 5).
+  *
+  * Words: two (item id + counter) per live counter.
   */
 final class MisraGries(val k: Int) extends SpaceMeter {
   require(k >= 1)
@@ -22,7 +24,7 @@ final class MisraGries(val k: Int) extends SpaceMeter {
     counters.get(item) match {
       case Some(c) => counters.update(item, c + 1)
       case None =>
-        if (counters.size < k) counters.update(item, 1L)
+        if (counters.size < k) { counters.update(item, 1L); charge(2) }
         else {
           // Decrement-all step; drop zeros.
           val dead = mutable.ArrayBuffer.empty[Long]
@@ -30,9 +32,9 @@ final class MisraGries(val k: Int) extends SpaceMeter {
             if (c == 1L) dead += i else counters.update(i, c - 1)
           }
           dead.foreach(counters.remove)
+          release(2L * dead.size)
         }
     }
-    touch()
   }
 
   def processAll(items: IterableOnce[Long]): this.type = {
@@ -46,7 +48,4 @@ final class MisraGries(val k: Int) extends SpaceMeter {
   def candidates: Vector[(Long, Long)] = counters.toVector.sortBy(-_._2)
 
   def streamLength: Long = n
-
-  /** Two words (item id + counter) per live counter. */
-  override def currentWords: Long = 2L * counters.size
 }

@@ -42,6 +42,9 @@ final class DegreeTracker {
   *
   * Degrees are maintained by an external shared [[DegreeTracker]]; callers
   * must `bump` once per edge and pass the updated degree to [[process]].
+  *
+  * Words: one per reservoir id plus one per collected edge (the degree
+  * table is charged by the caller via [[DegreeTracker.words]]).
   */
 final class DegResSampling(val d1: Int, val d2: Int, val s: Int, rng: Random)
     extends SpaceMeter {
@@ -67,7 +70,7 @@ final class DegResSampling(val d1: Int, val d2: Int, val s: Int, rng: Random)
     }
     if (pos.contains(edge.a)) {
       val buf = collected(edge.a)
-      if (buf.size < d2) { buf += edge.b; touch() }
+      if (buf.size < d2) { buf += edge.b; charge(1) }
     }
   }
 
@@ -75,7 +78,7 @@ final class DegResSampling(val d1: Int, val d2: Int, val s: Int, rng: Random)
     pos.update(a, reservoir.size)
     reservoir += a
     collected.update(a, mutable.ArrayBuffer.empty[Long])
-    touch()
+    charge(1)
   }
 
   private def evict(i: Int): Unit = {
@@ -85,7 +88,7 @@ final class DegResSampling(val d1: Int, val d2: Int, val s: Int, rng: Random)
     pos.update(last, i)
     reservoir.remove(reservoir.size - 1)
     pos.remove(victim)
-    collected.remove(victim)
+    collected.remove(victim).foreach(buf => release(1L + buf.size))
   }
 
   /** All currently stored neighborhoods (for tests and diagnostics). */
@@ -103,10 +106,4 @@ final class DegResSampling(val d1: Int, val d2: Int, val s: Int, rng: Random)
     val full = fullNeighborhoods
     if (full.isEmpty) None else Some(full(rng.nextInt(full.size)))
   }
-
-  /** Words held now: reservoir ids + collected edges (degree table charged
-    * by the caller via [[DegreeTracker.words]]).
-    */
-  override def currentWords: Long =
-    reservoir.size.toLong + collected.valuesIterator.map(_.size.toLong).sum
 }

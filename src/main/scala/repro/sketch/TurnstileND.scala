@@ -46,6 +46,8 @@ final case class TurnstileResult(
 final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
                                  cv: Double, ce: Double, buckets: Int) {
   require(c >= 1 && d >= 1 && n >= 1 && m >= 1)
+  // The edge samplers' domain n·m and every edgeCoord must fit in a Long.
+  require(n <= Long.MaxValue / m, s"n·m must fit in a Long: n=$n, m=$m")
 
   val dc: Int = math.max(1, d / c)
   val x: Double = math.max(n.toDouble / c, math.sqrt(n.toDouble))

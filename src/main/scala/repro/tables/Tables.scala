@@ -22,7 +22,7 @@ object Tables {
     * joins exercise the shuffle path, and WARN logging.
     */
   def session(appName: String): SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
       .config("spark.sql.shuffle.partitions",

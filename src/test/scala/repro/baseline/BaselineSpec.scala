@@ -46,6 +46,18 @@ class MisraGriesSpec extends SparkSpec {
     assert(mg.peakWords <= 16)
   }
 
+  test("space: running words equal 2 per live counter after every item") {
+    val rng = new Random(11)
+    val mg = new MisraGries(6)
+    var maxWords = 0L
+    Vector.fill(600)(rng.nextLong(40L)).foreach { i =>
+      mg.process(i)
+      assert(mg.currentWords == 2L * mg.candidates.size)
+      maxWords = math.max(maxWords, mg.currentWords)
+    }
+    assert(mg.peakWords == maxWords)
+  }
+
   test("witness recall is zero by construction (API has no witnesses)") {
     // The baseline surfaces only (item, count) pairs — the comparison made
     // quantitatively in Table 5.
@@ -85,6 +97,46 @@ class SpaceSavingSpec extends SparkSpec {
     new Random(4).shuffle((1 to 300).map(_.toLong)).foreach(ss.process)
     assert(ss.peakWords <= 18)
   }
+
+  // Metwally et al.'s invariants, checked after every item.
+  for (k <- Seq(1, 4, 16); skew <- Seq(false, true)) test(s"Stream-Summary invariants (k=$k, skewed=$skew)") {
+    val rng = new Random(31L * k + (if (skew) 1 else 0))
+    val stream = Vector.fill(800) {
+      if (skew) math.min(rng.nextLong(6L), rng.nextLong(60L)) else rng.nextLong(60L)
+    }
+    val ss = new SpaceSaving(k)
+    val truth = scala.collection.mutable.HashMap.empty[Long, Long]
+    stream.zipWithIndex.foreach { case (item, i) =>
+      ss.process(item)
+      truth(item) = truth.getOrElse(item, 0L) + 1
+      val n = i + 1L
+      val cands = ss.candidates
+      assert(cands.map(_._2).sum == n, "counts sum to N")
+      assert(cands.map(_._2) == cands.map(_._2).sortBy(-_), "most-counted first")
+      assert(cands.size == math.min(k, truth.size))
+      if (cands.size == k) assert(cands.last._2 * k <= n, "minimum count <= N/k")
+      cands.foreach { case (c, est) =>
+        assert(ss.estimate(c) == est)
+        assert(est >= truth(c) && est - ss.error(c) <= truth(c), s"item $c at N=$n")
+      }
+      truth.foreach { case (c, f) => if (f * k > n) assert(ss.estimate(c) > 0, s"heavy $c lost at N=$n") }
+      assert(ss.peakWords == 3L * math.min(k, truth.size))
+    }
+    assert(ss.streamLength == stream.size)
+  }
+
+  test("eviction tie-break: the counter that has held the minimum count longest") {
+    val ss = new SpaceSaving(3).processAll(Seq(1L, 2L, 3L))
+    ss.process(4) // counts 1,1,1: evicts 1, the first to reach count 1
+    assert(ss.estimate(1) == 0 && ss.estimate(4) == 2 && ss.error(4) == 1)
+    ss.process(5) // evicts 2
+    assert(ss.estimate(2) == 0 && ss.estimate(5) == 2)
+    ss.process(3) // 3 reaches count 2 after 4 and 5
+    ss.process(6) // counts 2,2,2: evicts 4, then 5
+    ss.process(7)
+    assert(ss.candidates == Vector((6L, 3L), (7L, 3L), (3L, 2L)))
+    assert(ss.error(6) == 2 && ss.error(7) == 2 && ss.error(3) == 0)
+  }
 }
 
 class ExactNDSpec extends SparkSpec {
@@ -111,6 +163,23 @@ class ExactNDSpec extends SparkSpec {
     val adj = SynthGraphs.adjacency(edges)
     val expected = adj.size.toLong + adj.values.map(s => math.min(s.size, 12).toLong).sum
     assert(ex.currentWords == expected)
+  }
+
+  test("space: running words equal the stored words after every edge") {
+    for (seed <- 1 to 3) {
+      val (edges, _) = SynthGraphs.plantedStar(40, 100, d = 8, maxBg = 10, seed = seed.toLong)
+      val ex = new ExactND(8)
+      val deg = scala.collection.mutable.HashMap.empty[Long, Int]
+      var maxWords = 0L
+      edges.foreach { e =>
+        ex.process(e)
+        deg(e.a) = deg.getOrElse(e.a, 0) + 1
+        val words = deg.values.map(x => 1L + math.min(x, 8)).sum
+        assert(ex.currentWords == words, s"seed=$seed after $e")
+        maxWords = math.max(maxWords, words)
+      }
+      assert(ex.peakWords == maxWords)
+    }
   }
 
   test("empty stream reports nothing") {

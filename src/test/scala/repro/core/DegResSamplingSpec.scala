@@ -128,6 +128,30 @@ class DegResSamplingSpec extends SparkSpec {
     assert(alg.peakWords <= 1 + 3)
   }
 
+  test("space: running words equal the stored words after every edge, with evictions") {
+    for (seed <- 1 to 5) {
+      val rng = new Random(seed)
+      // 120 vertices of degree 1..6 crossing d1 = 2 into a reservoir of 3.
+      val edges = rng.shuffle((1 to 120).flatMap { a =>
+        (1 to 1 + rng.nextInt(6)).map(i => Edge(a.toLong, i.toLong))
+      })
+      val tracker = new DegreeTracker
+      val alg = new DegResSampling(2, 3, 3, new Random(seed * 13L))
+      var maxWords = 0L
+      val everStored = scala.collection.mutable.Set.empty[Long]
+      edges.foreach { e =>
+        alg.process(e, tracker.bump(e.a))
+        val stored = alg.storedNeighborhoods
+        val words = stored.map(1L + _.size).sum
+        assert(alg.currentWords == words, s"seed=$seed after $e")
+        maxWords = math.max(maxWords, words)
+        everStored ++= stored.map(_.a)
+      }
+      assert(everStored.size > 3, s"seed=$seed: the stream must evict")
+      assert(alg.peakWords == maxWords, s"seed=$seed")
+    }
+  }
+
   test("rejects invalid parameters") {
     intercept[IllegalArgumentException](new DegResSampling(0, 1, 1, new Random(1)))
     intercept[IllegalArgumentException](new DegResSampling(1, 0, 1, new Random(1)))

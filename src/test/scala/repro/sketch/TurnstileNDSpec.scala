@@ -105,6 +105,16 @@ class TurnstileNDSpec extends SparkSpec {
     assert(r1.output == r2.output && r1.strategy == r2.strategy)
   }
 
+  test("config rejects n·m beyond Long.MaxValue, naming n and m") {
+    // n = m = 2^32: n·m wraps to 0 in a Long.
+    val e1 = intercept[IllegalArgumentException](
+      TurnstileConfig(1L << 32, 1L << 32, 4, 2, 1, 1.0, 1.0, 6))
+    assert(e1.getMessage.contains("n=4294967296") && e1.getMessage.contains("m=4294967296"))
+    val big = Long.MaxValue / 3 + 1
+    val e2 = intercept[IllegalArgumentException](TurnstileConfig(big, 3, 4, 2, 1, 1.0, 1.0, 6))
+    assert(e2.getMessage.contains(s"n=$big") && e2.getMessage.contains("m=3"))
+  }
+
   test("StreamOp rejects invalid deltas") {
     intercept[IllegalArgumentException](StreamOp(repro.core.Edge(1, 1), 0))
     intercept[IllegalArgumentException](StreamOp(repro.core.Edge(1, 1), 2))
