@@ -30,6 +30,11 @@ final case class SparkDegResResult(
   * sample contains a vertex of degree ≥ d1 + d/c - 1 — the same success
   * predicate as the sequential reservoir, hence the same distribution of
   * outcomes (over the respective sampling randomness).
+  *
+  * All c runs share one plan: the degree table is expanded into one row
+  * per (vertex, run) and each run's winner is taken by a window over the
+  * run, so a call issues two collects (winners, then their neighbors)
+  * whatever c is.
   */
 object SparkDegRes {
 
@@ -46,53 +51,61 @@ object SparkDegRes {
     *
     * @param edges DataFrame (pos, a, b) — a simple bipartite edge stream
     * @param n     |A|
-    * @param d     degree threshold (promise: some vertex has deg >= d)
+    * @param d     degree threshold >= 1 (promise: some vertex has deg >= d)
     * @param c     integral approximation factor >= 2
+    * @param sOverride reservoir size >= 1 in place of Theorem 3.2's
     */
   def run(edges: DataFrame, n: Long, d: Int, c: Int, seed: Long,
           sOverride: Option[Int] = None): SparkDegResResult = {
     require(c >= 2, s"approximation factor must be >= 2, got $c")
+    require(d >= 1, s"degree threshold must be >= 1, got $d")
     val s  = sOverride.getOrElse(InsertionOnlyND.reservoirSize(n, c))
+    require(s >= 1, s"reservoir size must be >= 1, got $s")
     val d2 = InsertionOnlyND.targetSize(d, c)
+    val d1 = Vector.tabulate(c)(InsertionOnlyND.threshold(_, d, c))
 
-    val rk  = ranked(edges).cache()
-    val deg = degrees(edges).cache()
-    try {
-      val winners: Vector[Option[Neighborhood]] = (0 until c).toVector.map { i =>
-        val d1 = InsertionOnlyND.threshold(i, d, c)
-        // Uniform s-sample of {a : deg(a) >= d1} via hash priority.
-        val sampled = deg
-          .filter(col("deg") >= d1)
-          .withColumn("prio", xxhash64(col("a"), lit(seed), lit(i)))
-          .orderBy("prio")
-          .limit(s)
-        // A sampled vertex yields a full neighborhood iff it still has d2
-        // edges from rank d1 onwards, i.e. deg >= d1 + d2 - 1.
-        val winner = sampled
-          .filter(col("deg") >= d1.toLong + d2 - 1)
-          .orderBy("prio")
-          .limit(1)
-          .collect()
-          .headOption
-        winner.map { row =>
-          val a = row.getAs[Long]("a")
-          val nbrs = rk
-            .filter(col("a") === a && col("rank").between(d1, d1.toLong + d2 - 1))
-            .orderBy("rank")
-            .select("b")
-            .collect()
-            .map(_.getLong(0))
-            .toVector
-          Neighborhood(a, nbrs)
-        }
+    // `run` is an Int column: xxhash64 hashes a Long run index differently,
+    // which would change every seeded sample.
+    val runs = array(d1.zipWithIndex.map { case (t, i) =>
+      struct(lit(i) as "run", lit(t) as "d1") }: _*)
+    // Per run: a uniform s-sample of {a : deg(a) >= d1} via hash priority.
+    // A sampled vertex yields a full neighborhood iff it still has d2 edges
+    // from rank d1 onwards, i.e. deg >= d1 + d2 - 1; the winner is the
+    // sampled one of least priority.
+    val winners = degrees(edges)
+      .select(col("a"), col("deg"), explode(runs) as "r")
+      .select(col("a"), col("deg"), col("r.run") as "run", col("r.d1") as "d1")
+      .filter(col("deg") >= col("d1"))
+      .withColumn("prio", xxhash64(col("a"), lit(seed), col("run")))
+      .withColumn("k", row_number().over(Window.partitionBy("run").orderBy("prio", "a")))
+      .filter(col("k") <= s && col("deg") >= col("d1").cast("long") + (d2 - 1L))
+      .groupBy("run")
+      .agg(min(struct("prio", "a")) as "w")
+      .select(col("run"), col("w.a"))
+      .collect()
+      .map(r => r.getInt(0) -> r.getLong(1))
+      .toMap
+
+    // Ranks up to the largest window end of any winner; each run keeps the
+    // ranks [d1, d1 + d2) of its own winner (one vertex may win several
+    // runs with different d1).
+    val neighbor: Map[(Long, Long), Long] =
+      if (winners.isEmpty) Map.empty
+      else ranked(edges.filter(col("a").isin(winners.values.toSeq.distinct: _*)))
+        .filter(col("rank") <= winners.keys.map(d1(_)).max.toLong + d2 - 1)
+        .select("a", "rank", "b")
+        .collect()
+        .map(r => (r.getLong(0), r.getLong(1)) -> r.getLong(2))
+        .toMap
+    val outcome: Vector[Option[Neighborhood]] = Vector.tabulate(c) { i =>
+      winners.get(i).map { a =>
+        Neighborhood(a, Vector.tabulate(d2)(j => neighbor((a, d1(i).toLong + j))))
       }
-      val successes = winners.flatten
-      val out =
-        if (successes.isEmpty) None
-        else Some(successes(new Random(seed).nextInt(successes.size)))
-      SparkDegResResult(out, winners.map(_.nonEmpty), s)
-    } finally {
-      rk.unpersist(); deg.unpersist()
     }
+    val successes = outcome.flatten
+    val out =
+      if (successes.isEmpty) None
+      else Some(successes(new Random(seed).nextInt(successes.size)))
+    SparkDegResResult(out, outcome.map(_.nonEmpty), s)
   }
 }

@@ -1,17 +1,69 @@
 package repro.spark
 
-import org.apache.spark.sql.functions._
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.TestBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 
 import repro.{Oracle, SparkSpec, SynthGraphs}
-import repro.core.{InsertionOnlyND, Neighborhood}
+import repro.core.{Edge, InsertionOnlyND, Neighborhood}
 
 /** Tests for the DataFrame (Catalyst) build of Algorithm 2: intermediate
   * tables oracle-checked against DuckDB, outputs validated against ground
-  * truth, and behavioral parity with the sequential algorithm.
+  * truth, behavioral parity with the sequential algorithm, bit-for-bit
+  * parity with the per-run reference build, and a job count that does not
+  * grow with c.
   */
 class SparkDegResSpec extends SparkSpec {
 
-  private def df(edges: Seq[repro.core.Edge]) = SynthGraphs.edgesDf(spark, edges)
+  private def df(edges: Seq[Edge]) = SynthGraphs.edgesDf(spark, edges)
+
+  /** Spark jobs started by `body`, with the listener bus drained before
+    * and after so that no other job's events are counted.
+    */
+  private def jobsOf(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    TestBus.drain(sc)
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    try { body; TestBus.drain(sc) } finally sc.removeSparkListener(listener)
+    jobs.get
+  }
+
+  private val families = Seq[(String, Long => Vector[Edge])](
+    ("plantedStar", s => SynthGraphs.plantedStar(96, 4 * 96, 24, 6, s)._1),
+    ("uniform+star", s => SynthGraphs.uniformPlusPlanted(96, 4 * 96, 24, 5, s)._1),
+    ("zipfDegrees", s => SynthGraphs.zipfDegrees(96, 4 * 96, 24, 1.0, 1, s)._1),
+  )
+
+  /** Both builds on one materialized input, so both read the same rows;
+    * returns the reference's result.
+    */
+  private def assertParity(edges: Seq[Edge], c: Int, seed: Long,
+                           sOverride: Option[Int]): SparkDegResResult = {
+    val e = df(edges).localCheckpoint()
+    val want = SparkDegResReference.run(e, 96, 24, c, seed, sOverride)
+    assert(SparkDegRes.run(e, 96, 24, c, seed, sOverride) == want,
+      s"c=$c seed=$seed sOverride=$sOverride")
+    want
+  }
+
+  for ((family, mk) <- families; c <- Seq(2, 3, 4))
+    test(s"one-plan run equals the per-run reference: $family c=$c") {
+      val seed = c + 2L
+      for (sOverride <- Seq(None, Some(1))) assertParity(mk(seed), c, seed, sOverride)
+    }
+
+  test("one-plan run equals the per-run reference when every run fails") {
+    // A sample of one vertex misses every vertex of enough degree ...
+    val (_, zipf) = families(2)
+    assert(assertParity(zipf(1L), 2, 1L, Some(1)).runSucceeded == Vector(false, false))
+    // ... and with every degree below d/c, every run fails at any s.
+    val low = Seq.tabulate(200)(i => Edge(i / 4 + 1L, i + 1L))
+    assert(assertParity(low, 4, 1L, None).runSucceeded == Vector.fill(4)(false))
+  }
 
   test("degrees match DuckDB on a planted-star instance") {
     val (edges, _) = SynthGraphs.plantedStar(n = 64, m = 256, d = 16, maxBg = 4, seed = 1)
@@ -37,7 +89,6 @@ class SparkDegResSpec extends SparkSpec {
   }
 
   test("rank ordering follows stream position exactly (hand instance)") {
-    import repro.core.Edge
     val edges = Seq(Edge(1, 10), Edge(2, 20), Edge(1, 11), Edge(1, 12), Edge(2, 21))
     val got = SparkDegRes.ranked(df(edges))
       .orderBy("a", "rank").select("a", "b", "rank")
@@ -47,7 +98,7 @@ class SparkDegResSpec extends SparkSpec {
   }
 
   for {
-    (family, mk) <- Seq[(String, (Long, Long) => (Vector[repro.core.Edge], Long))](
+    (family, mk) <- Seq[(String, (Long, Long) => (Vector[Edge], Long))](
       ("plantedStar", (n, s) => SynthGraphs.plantedStar(n, 4 * n, 24, 6, s)),
       ("uniform+star", (n, s) => SynthGraphs.uniformPlusPlanted(n, 4 * n, 24, 5, s)),
     )
@@ -66,7 +117,6 @@ class SparkDegResSpec extends SparkSpec {
   test("collected neighbors are exactly the post-crossing edges in stream order") {
     // Single vertex with known edge order: run with c=2, d=8 -> run 1 has
     // d1 = 4, d2 = 4, so the collected neighbors must be edges ranked 4..7.
-    import repro.core.Edge
     val edges = (1 to 10).map(i => Edge(5, i * 100L))
     val res = SparkDegRes.run(df(edges), n = 8, d = 8, c = 2, seed = 3)
     assert(res.output.nonEmpty)
@@ -113,6 +163,31 @@ class SparkDegResSpec extends SparkSpec {
   test("rejects c < 2") {
     val (edges, _) = SynthGraphs.plantedStar(16, 64, 4, 1, seed = 1)
     intercept[IllegalArgumentException](SparkDegRes.run(df(edges), 16, 4, 1, 0))
+  }
+
+  test("rejects d < 1, naming the value") {
+    val (edges, _) = SynthGraphs.plantedStar(16, 64, 4, 1, seed = 1)
+    val e = intercept[IllegalArgumentException](SparkDegRes.run(df(edges), 16, 0, 2, 0))
+    assert(e.getMessage.contains("degree threshold must be >= 1, got 0"))
+  }
+
+  test("rejects a reservoir size < 1, naming the value") {
+    val (edges, _) = SynthGraphs.plantedStar(16, 64, 4, 1, seed = 1)
+    val e = intercept[IllegalArgumentException](
+      SparkDegRes.run(df(edges), 16, 4, 2, 0, sOverride = Some(0)))
+    assert(e.getMessage.contains("reservoir size must be >= 1, got 0"))
+  }
+
+  test("job count of a call does not grow with c") {
+    val (edges, _) = SynthGraphs.plantedStar(96, 4 * 96, 24, 6, seed = 41)
+    val e = df(edges).localCheckpoint()
+    var outputs = Seq.empty[Option[Neighborhood]]
+    val counts = Seq(2, 4).map { c =>
+      jobsOf { outputs :+= SparkDegRes.run(e, 96, 24, c, seed = 41).output }
+    }
+    // Both calls find a winner, so both run the neighbor query too.
+    assert(outputs.forall(_.nonEmpty))
+    assert(counts(0) == counts(1), s"jobs at c = 2 and c = 4: $counts")
   }
 
   test("priority sample size never exceeds s (reservoir-size parity)") {
