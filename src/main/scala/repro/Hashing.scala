@@ -1,6 +1,6 @@
 package repro
 
-/** Hashing shared by the ℓ₀-sampler and the streaming witness operator. */
+/** Hashing shared by the ℓ₀-sampler and every priority sampler. */
 object Hashing {
 
   /** One SplitMix64 step: add the golden-ratio increment, then mix. A
@@ -13,4 +13,12 @@ object Hashing {
     z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
     z ^ (z >>> 31)
   }
+
+  /** Uniform non-negative 63-bit priority of item `a` in run `run`; the s
+    * least (priority, a) of a set are a uniform s-subset of it. SplitMix64
+    * is nested over seed, run, a, not fed their XOR, so inputs do not alias,
+    * and a non-negative Long sorts alike in Scala and Spark SQL.
+    */
+  def priority(seed: Long, run: Int, a: Long): Long =
+    splitmix64(splitmix64(splitmix64(seed) + run) + a) >>> 1
 }

@@ -1,7 +1,8 @@
 package repro.core
 
 import scala.collection.mutable
-import scala.util.Random
+
+import repro.Hashing
 
 /** Shared per-A-vertex degree counts.
   *
@@ -31,14 +32,17 @@ final class DegreeTracker {
   *
   * Maintains a reservoir `R` that is, at every moment, a uniform random
   * s-subset of the A-vertices whose current degree is at least `d1` (or all
-  * of them while there are fewer than s). For every reservoir vertex the
-  * next up-to-`d2` incident edges are collected, starting with the edge
-  * that raised its degree to `d1`, so a surviving sampled vertex of final
-  * degree `deg` holds a neighborhood of size min(d2, deg - d1 + 1).
+  * of them while there are fewer than s): the s of least (priority, a) by
+  * [[repro.Hashing.priority]](seed, run, a). A vertex leaves only for one of
+  * lower priority, so a vertex in the final reservoir has been held since
+  * it crossed d1. For every reservoir vertex the next up-to-`d2` incident
+  * edges are collected, starting with the edge that raised its degree to
+  * `d1`, so a surviving sampled vertex of final degree `deg` holds a
+  * neighborhood of size min(d2, deg - d1 + 1).
   *
   * `succeeded` iff some stored neighborhood reaches size d2; `result` then
-  * returns a uniform random one among those (Lemma 3.1 gives the success
-  * probability >= 1 - (1 - s/n1)^n2).
+  * returns the one of least priority, a uniform random one among those
+  * (Lemma 3.1 gives the success probability >= 1 - (1 - s/n1)^n2).
   *
   * Degrees are maintained by an external shared [[DegreeTracker]]; callers
   * must `bump` once per edge and pass the updated degree to [[process]].
@@ -46,64 +50,43 @@ final class DegreeTracker {
   * Words: one per reservoir id plus one per collected edge (the degree
   * table is charged by the caller via [[DegreeTracker.words]]).
   */
-final class DegResSampling(val d1: Int, val d2: Int, val s: Int, rng: Random)
+final class DegResSampling(val d1: Int, val d2: Int, val s: Int, seed: Long, run: Int)
     extends SpaceMeter {
   require(d1 >= 1 && d2 >= 1 && s >= 1, s"bad params d1=$d1 d2=$d2 s=$s")
 
-  // Reservoir as array for O(1) uniform eviction; index map for O(1) lookup.
-  private val reservoir = mutable.ArrayBuffer.empty[Long]
-  private val pos       = mutable.HashMap.empty[Long, Int]
+  // Max-heap of (priority, a) over the reservoir: its head is evicted first.
+  private val reservoir = mutable.PriorityQueue.empty[(Long, Long)]
   // Collected edges per reservoir vertex, in stream order.
   private val collected = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
-  // Count of vertices whose degree reached d1 so far (x in Algorithm 1).
-  private var crossed = 0L
 
   /** Feed the next stream edge; `newDeg` is deg(edge.a) *after* this edge. */
   def process(edge: Edge, newDeg: Int): Unit = {
     if (newDeg == d1) { // candidate to be inserted into reservoir
-      crossed += 1
-      if (reservoir.size < s) insert(edge.a)
-      else if (rng.nextDouble() < s.toDouble / crossed) {
-        evict(rng.nextInt(reservoir.size))
-        insert(edge.a)
+      val key = (Hashing.priority(seed, run, edge.a), edge.a)
+      if (reservoir.size < s) insert(key)
+      else if (reservoir.ord.lt(key, reservoir.head)) {
+        collected.remove(reservoir.dequeue()._2).foreach(buf => release(1L + buf.size))
+        insert(key)
       }
     }
-    if (pos.contains(edge.a)) {
+    if (collected.contains(edge.a)) {
       val buf = collected(edge.a)
       if (buf.size < d2) { buf += edge.b; charge(1) }
     }
   }
 
-  private def insert(a: Long): Unit = {
-    pos.update(a, reservoir.size)
-    reservoir += a
-    collected.update(a, mutable.ArrayBuffer.empty[Long])
+  private def insert(key: (Long, Long)): Unit = {
+    reservoir.enqueue(key)
+    collected.update(key._2, mutable.ArrayBuffer.empty[Long])
     charge(1)
   }
 
-  private def evict(i: Int): Unit = {
-    val victim = reservoir(i)
-    val last   = reservoir.last
-    reservoir(i) = last
-    pos.update(last, i)
-    reservoir.remove(reservoir.size - 1)
-    pos.remove(victim)
-    collected.remove(victim).foreach(buf => release(1L + buf.size))
-  }
-
-  /** All currently stored neighborhoods (for tests and diagnostics). */
+  /** All currently stored neighborhoods, by increasing priority. */
   def storedNeighborhoods: Vector[Neighborhood] =
-    reservoir.iterator.map(a => Neighborhood(a, collected(a).toVector)).toVector
+    reservoir.toVector.sorted.map { case (_, a) => Neighborhood(a, collected(a).toVector) }
 
-  /** Stored neighborhoods that reached the target size d2. */
-  def fullNeighborhoods: Vector[Neighborhood] =
-    storedNeighborhoods.filter(_.size >= d2)
+  def succeeded: Boolean = collected.valuesIterator.exists(_.size >= d2)
 
-  def succeeded: Boolean = fullNeighborhoods.nonEmpty
-
-  /** Uniform random neighborhood among those of size d2; None = fail. */
-  def result(): Option[Neighborhood] = {
-    val full = fullNeighborhoods
-    if (full.isEmpty) None else Some(full(rng.nextInt(full.size)))
-  }
+  /** The full neighborhood of least priority; None = fail. */
+  def result(): Option[Neighborhood] = storedNeighborhoods.find(_.size >= d2)
 }

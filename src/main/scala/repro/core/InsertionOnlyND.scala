@@ -1,11 +1,11 @@
 package repro.core
 
-import scala.util.Random
+import repro.Hashing
 
 /** Outcome of one Algorithm 2 execution, with per-run diagnostics.
   *
-  * @param output        uniform random successful neighborhood, if any run
-  *                      succeeded
+  * @param output        the winning run's neighborhood ([[InsertionOnlyND.pick]]),
+  *                      if any run succeeded
   * @param runSucceeded  per-run success flags (index i = threshold run i)
   * @param reservoirSize the reservoir size s used by every run
   * @param runPeakWords  peak words per run (edges + reservoir ids)
@@ -27,7 +27,7 @@ final case class InsertionOnlyResult(
   *
   * Runs Deg-Res-Sampling(max(1, floor(i*d/c)), floor(d/c), s) in parallel
   * for i = 0 .. c-1 with reservoir size s = ceil(ln(n) * n^(1/c)), and
-  * returns a uniform random neighborhood among the successful runs. If the
+  * returns the neighborhood of a uniform random successful run. If the
   * input contains an A-vertex of degree >= d the output has size
   * floor(d/c) with probability >= 1 - 1/n, using
   * O(n log n + n^(1/c) d log^2 n) bits.
@@ -47,25 +47,36 @@ object InsertionOnlyND {
   /** Threshold for run i: max(1, floor(i*d/c)). */
   def threshold(i: Int, d: Int, c: Int): Int = math.max(1, (i.toLong * d / c).toInt)
 
+  /** Every build's parameter check (c >= 2, d >= 1, s >= 1); returns s. */
+  def checkedReservoirSize(n: Long, d: Int, c: Int, sOverride: Option[Int]): Int = {
+    require(c >= 2, s"approximation factor must be >= 2, got $c")
+    require(d >= 1, s"degree threshold must be >= 1, got $d")
+    val s = sOverride.getOrElse(reservoirSize(n, c))
+    require(s >= 1, s"reservoir size must be >= 1, got $s")
+    s
+  }
+
+  /** Every build's winning run: the successful one of least priority. */
+  def pick[A](outcomes: Vector[Option[A]], seed: Long): Option[A] =
+    outcomes.indices.filter(outcomes(_).nonEmpty)
+      .minByOption(Hashing.priority(seed, -1, _))
+      .flatMap(outcomes(_))
+
   /** Process the whole insertion-only edge stream.
     *
     * @param edges stream of edge insertions (must describe a simple graph)
     * @param n     |A| (number of possible items)
-    * @param d     degree threshold (promise: some A-vertex has deg >= d)
+    * @param d     degree threshold >= 1 (promise: some A-vertex has deg >= d)
     * @param c     integral approximation factor >= 2
-    * @param seed  RNG seed (one derived stream per run)
-    * @param sOverride reservoir size override for experiments (None = paper's)
+    * @param seed  priority seed: run i samples by Hashing.priority(seed, i, a)
+    * @param sOverride reservoir size >= 1 for experiments (None = paper's)
     */
   def run(edges: IterableOnce[Edge], n: Long, d: Int, c: Int, seed: Long,
           sOverride: Option[Int] = None): InsertionOnlyResult = {
-    require(c >= 2, s"approximation factor must be >= 2, got $c")
-    val s   = sOverride.getOrElse(reservoirSize(n, c))
-    val d2  = targetSize(d, c)
-    val master = new Random(seed)
+    val s  = checkedReservoirSize(n, d, c, sOverride)
+    val d2 = targetSize(d, c)
     val degrees = new DegreeTracker
-    val runs = Vector.tabulate(c) { i =>
-      new DegResSampling(threshold(i, d, c), d2, s, new Random(master.nextLong()))
-    }
+    val runs = Vector.tabulate(c)(i => new DegResSampling(threshold(i, d, c), d2, s, seed, i))
     val it = edges.iterator
     while (it.hasNext) {
       val e = it.next()
@@ -73,12 +84,8 @@ object InsertionOnlyND {
       var i = 0
       while (i < c) { runs(i).process(e, nd); i += 1 }
     }
-    val successful = runs.filter(_.succeeded)
-    val out =
-      if (successful.isEmpty) None
-      else successful(master.nextInt(successful.size)).result()
     InsertionOnlyResult(
-      output        = out,
+      output        = pick(runs.map(_.result()), seed),
       runSucceeded  = runs.map(_.succeeded),
       reservoirSize = s,
       runPeakWords  = runs.map(_.peakWords),

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.util.Random
-
 /** Result of Star Detection: best star found plus per-guess diagnostics.
   * `totalPeakWords` charges the shared degree table once plus every run's
   * peak, as [[InsertionOnlyResult.totalPeakWords]] does.
@@ -46,21 +44,22 @@ object StarDetection {
     * @param n    |V|
     * @param c    per-guess approximation factor (Corollary 3.3: ceil(log n))
     * @param eps  geometric ladder step
+    * @param seed priority seed of every run
     */
   def run(undirected: IterableOnce[(Long, Long)], n: Long, c: Int,
           eps: Double = 0.5, seed: Long = 17L): StarResult = {
-    val master  = new Random(seed)
     val guesses = guessLadder(n, eps)
     val s       = InsertionOnlyND.reservoirSize(n, c)
     // c runs per guess, all fed the doubled stream; every guess sees the
-    // same degrees, so one degree table serves them all.
+    // same degrees, so one degree table serves them all. Run i of guess g
+    // samples with its own run index g * c + i.
     val degrees = new DegreeTracker
-    val runsPerGuess = guesses.map { dGuess =>
+    val runsPerGuess = guesses.zipWithIndex.map { case (dGuess, g) =>
       Vector.tabulate(c) { i =>
         new DegResSampling(
           InsertionOnlyND.threshold(i, dGuess, c),
           InsertionOnlyND.targetSize(dGuess, c),
-          s, new Random(master.nextLong()))
+          s, seed, g * c + i)
       }
     }
     val it = undirected.iterator

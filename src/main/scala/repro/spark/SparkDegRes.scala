@@ -3,8 +3,8 @@ package repro.spark
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import scala.util.Random
 
+import repro.Hashing
 import repro.core.{InsertionOnlyND, Neighborhood}
 
 /** Outcome of the DataFrame build of Algorithm 2 (mirrors
@@ -23,13 +23,14 @@ final case class SparkDegResResult(
   * position. The sequential algorithm's reservoir maintains a uniform
   * s-sample of the vertices whose degree reached d1; here that sample is
   * drawn equivalently by ranking each vertex's edges by `pos` (window),
-  * filtering vertices with deg ≥ d1, and keeping the s smallest values of
-  * the per-run hash priority xxhash64(a, runSeed) — a uniform s-sample of
-  * the same set. The "next d/c edges after crossing d1" are exactly the
-  * edges with per-vertex rank in [d1, d1 + d/c), so run i succeeds iff its
-  * sample contains a vertex of degree ≥ d1 + d/c - 1 — the same success
-  * predicate as the sequential reservoir, hence the same distribution of
-  * outcomes (over the respective sampling randomness).
+  * filtering vertices with deg ≥ d1, and keeping the s least
+  * (priority, a) with the sequential build's [[Hashing.priority]] — the
+  * same set its reservoir ends with. The "next d/c edges after crossing
+  * d1" are exactly the edges with per-vertex rank in [d1, d1 + d/c), so
+  * run i succeeds iff its sample contains a vertex of degree
+  * ≥ d1 + d/c - 1, its neighborhood is the one of least priority among
+  * those, and the winning run is [[InsertionOnlyND.pick]]'s: the result
+  * equals [[InsertionOnlyND.run]]'s for the same seed.
   *
   * All c runs share one plan: the degree table is expanded into one row
   * per (vertex, run) and each run's winner is taken by a window over the
@@ -53,19 +54,18 @@ object SparkDegRes {
     * @param n     |A|
     * @param d     degree threshold >= 1 (promise: some vertex has deg >= d)
     * @param c     integral approximation factor >= 2
+    * @param seed  priority seed, as in [[InsertionOnlyND.run]]
     * @param sOverride reservoir size >= 1 in place of Theorem 3.2's
     */
   def run(edges: DataFrame, n: Long, d: Int, c: Int, seed: Long,
           sOverride: Option[Int] = None): SparkDegResResult = {
-    require(c >= 2, s"approximation factor must be >= 2, got $c")
-    require(d >= 1, s"degree threshold must be >= 1, got $d")
-    val s  = sOverride.getOrElse(InsertionOnlyND.reservoirSize(n, c))
-    require(s >= 1, s"reservoir size must be >= 1, got $s")
+    val s  = InsertionOnlyND.checkedReservoirSize(n, d, c, sOverride)
     val d2 = InsertionOnlyND.targetSize(d, c)
     val d1 = Vector.tabulate(c)(InsertionOnlyND.threshold(_, d, c))
 
-    // `run` is an Int column: xxhash64 hashes a Long run index differently,
-    // which would change every seeded sample.
+    // A typed UDF, not Column arithmetic: SplitMix64 overflows on purpose,
+    // and ANSI mode throws on overflow.
+    val prio = udf((run: Int, a: Long) => Hashing.priority(seed, run, a))
     val runs = array(d1.zipWithIndex.map { case (t, i) =>
       struct(lit(i) as "run", lit(t) as "d1") }: _*)
     // Per run: a uniform s-sample of {a : deg(a) >= d1} via hash priority.
@@ -76,7 +76,7 @@ object SparkDegRes {
       .select(col("a"), col("deg"), explode(runs) as "r")
       .select(col("a"), col("deg"), col("r.run") as "run", col("r.d1") as "d1")
       .filter(col("deg") >= col("d1"))
-      .withColumn("prio", xxhash64(col("a"), lit(seed), col("run")))
+      .withColumn("prio", prio(col("run"), col("a")))
       .withColumn("k", row_number().over(Window.partitionBy("run").orderBy("prio", "a")))
       .filter(col("k") <= s && col("deg") >= col("d1").cast("long") + (d2 - 1L))
       .groupBy("run")
@@ -102,10 +102,6 @@ object SparkDegRes {
         Neighborhood(a, Vector.tabulate(d2)(j => neighbor((a, d1(i).toLong + j))))
       }
     }
-    val successes = outcome.flatten
-    val out =
-      if (successes.isEmpty) None
-      else Some(successes(new Random(seed).nextInt(successes.size)))
-    SparkDegResResult(out, outcome.map(_.nonEmpty), s)
+    SparkDegResResult(InsertionOnlyND.pick(outcome, seed), outcome.map(_.nonEmpty), s)
   }
 }

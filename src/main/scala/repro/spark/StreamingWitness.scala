@@ -5,9 +5,8 @@ import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import scala.collection.concurrent.TrieMap
-import scala.util.Random
 
-import repro.Hashing.splitmix64
+import repro.Hashing.priority
 import repro.core.{FrequentItemReport, InsertionOnlyND, WitnessRecord}
 
 /** One micro-batch input row: an item occurrence with its witness and the
@@ -34,31 +33,26 @@ final case class WitnessCandidate(item: Long, count: Long, buffers: Seq[Seq[Long
   * `flatMapGroupsWithState` keeps (count, witness buffers) per item. A key
   * starts buffering witnesses for run i once its count reaches
   * d1(i) = max(1, floor(i*d/c)) and caps the buffer at d2 = floor(d/c).
-  * The uniform sample over candidate keys is drawn at query end by hash
-  * priority (smallest xxhash-style priority among candidates = uniform).
+  * At query end ([[select]]) each run samples as the sequential reservoir.
   *
   * Space modes:
   *  - ungated (gate = 1.0): state for every key crossing d1 — more space
-  *    than the sequential reservoir but exact candidate recall;
-  *  - Bernoulli gate p: run i buffers key k only if hash(k, i) < p —
-  *    bounded expected state, success probability degrades gracefully.
-  *    (Table 5 measures the tradeoff.)
+  *    than the sequential reservoir, and the same result as
+  *    [[repro.core.FrequentWitness.runDetailed]] for the same seed;
+  *  - Bernoulli gate p: run i buffers key k only if its priority is at most
+  *    p·2⁶³ — bounded expected state, success probability degrades
+  *    gracefully; if every sampled key passes, the report is the ungated
+  *    one. (Table 5 measures the tradeoff.)
   */
 object StreamingWitness {
 
   final case class Config(nItems: Long, d: Int, c: Int, seed: Long, gate: Double = 1.0) {
-    require(c >= 2, s"approximation factor must be >= 2, got $c")
     require(gate > 0 && gate <= 1.0, s"gate must be in (0, 1], got $gate")
+    val s: Int = InsertionOnlyND.checkedReservoirSize(nItems, d, c, None)
     val d2: Int = InsertionOnlyND.targetSize(d, c)
     val thresholds: Vector[Int] = Vector.tabulate(c)(i => InsertionOnlyND.threshold(i, d, c))
-  }
-
-  /** Uniform (0,1] hash used for both the Bernoulli gate and the final
-    * priority sample.
-    */
-  private def unitHash(seed: Long, run: Int, key: Long): Double = {
-    val h = splitmix64(seed ^ (run.toLong << 32) ^ key)
-    ((h >>> 11).toDouble + 1.0) / (1L << 53).toDouble
+    /** gate·2⁶³ as a priority bound (the cast saturates at Long.MaxValue). */
+    val gateLimit: Long = (gate * Long.MaxValue.toDouble).toLong
   }
 
   /** The stateful update function: replay this batch's events in stream
@@ -72,7 +66,7 @@ object StreamingWitness {
       WitnessState(0L, Vector.fill(cfg.c)(Vector.empty[Long])))
     var count   = prev.count
     val buffers = prev.buffers.map(_.toVector).toArray
-    val gated   = Array.tabulate(cfg.c)(i => unitHash(cfg.seed, i, item) <= cfg.gate)
+    val gated   = Array.tabulate(cfg.c)(i => priority(cfg.seed, i, item) <= cfg.gateLimit)
     events.toVector.sortBy(_.pos).foreach { ev =>
       count += 1
       var i = 0
@@ -97,22 +91,19 @@ object StreamingWitness {
         OutputMode.Update, GroupStateTimeout.NoTimeout)(updateKey(cfg))
   }
 
-  /** Final selection over the latest candidate row per item: per run, the
-    * candidates with a full buffer; choose a uniform random successful run,
-    * then the min-priority (= uniform) candidate of that run.
+  /** Final selection over the latest candidate row per item: run i keeps
+    * the s least (priority, item) among keys that reached d1(i), as the
+    * sequential reservoir does, and reports its least with a full buffer.
     */
   def select(latest: Seq[WitnessCandidate], cfg: Config): (Option[FrequentItemReport], Vector[Boolean]) = {
-    val perRun: Vector[Vector[WitnessCandidate]] = Vector.tabulate(cfg.c) { i =>
-      latest.filter(c => c.buffers(i).size >= cfg.d2).toVector
+    val outcome = Vector.tabulate(cfg.c) { i =>
+      latest.filter(_.count >= cfg.thresholds(i))
+        .sortBy(k => (priority(cfg.seed, i, k.item), k.item))
+        .take(cfg.s)
+        .collectFirst { case k if k.buffers(i).size >= cfg.d2 =>
+          FrequentItemReport(k.item, k.buffers(i).toVector) }
     }
-    val succeeded = perRun.map(_.nonEmpty)
-    val okRuns = succeeded.zipWithIndex.filter(_._1).map(_._2)
-    if (okRuns.isEmpty) (None, succeeded)
-    else {
-      val run  = okRuns(new Random(cfg.seed).nextInt(okRuns.size))
-      val best = perRun(run).minBy(c => unitHash(cfg.seed ^ 0xabcdefL, run, c.item))
-      (Some(FrequentItemReport(best.item, best.buffers(run).toVector)), succeeded)
-    }
+    (InsertionOnlyND.pick(outcome, cfg.seed), outcome.map(_.nonEmpty))
   }
 
   /** Runs the stateful query over an in-memory stream and returns the

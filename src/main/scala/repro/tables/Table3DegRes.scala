@@ -26,7 +26,7 @@ object Table3DegRes {
           (1 to deg).map(i => Edge(a.toLong, a * 1000L + i))
         }.toVector)
         val tracker = new DegreeTracker
-        val alg = new DegResSampling(d1, d2, s, new Random(13L * t + n1))
+        val alg = new DegResSampling(d1, d2, s, seed = 13L * t + n1, run = 0)
         edges.foreach(e => alg.process(e, tracker.bump(e.a)))
         if (alg.succeeded) succ += 1
       }

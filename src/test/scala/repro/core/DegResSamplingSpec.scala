@@ -2,18 +2,18 @@ package repro.core
 
 import scala.util.Random
 
-import repro.SparkSpec
-import repro.SynthGraphs
+import repro.{Hashing, SparkSpec, SynthGraphs}
 
 /** Unit tests for Algorithm 1 (Deg-Res-Sampling) — collection rule,
-  * reservoir uniformity, Lemma 3.1 success bound, space accounting.
+  * bottom-s reservoir, reservoir uniformity, Lemma 3.1 success bound, space
+  * accounting.
   */
 class DegResSamplingSpec extends SparkSpec {
 
   /** Feed edges through a tracker + single sampler. */
   private def feed(edges: Seq[Edge], d1: Int, d2: Int, s: Int, seed: Long): DegResSampling = {
     val tracker = new DegreeTracker
-    val alg = new DegResSampling(d1, d2, s, new Random(seed))
+    val alg = new DegResSampling(d1, d2, s, seed, run = 0)
     edges.foreach(e => alg.process(e, tracker.bump(e.a)))
     alg
   }
@@ -69,6 +69,34 @@ class DegResSamplingSpec extends SparkSpec {
     assert(ok.result().get.size == 4)
     val fail = feed(edges, 1, 7, 2, 6)
     assert(fail.result().isEmpty)
+  }
+
+  test("reservoir is the s least (priority, a) among crossed vertices after every edge") {
+    for (seed <- 1 to 4; run <- Seq(0, 2)) {
+      val rng = new Random(seed)
+      // 80 vertices of degree 1..6 crossing d1 = 2 into a reservoir of 4.
+      val edges = rng.shuffle((1 to 80).flatMap { a =>
+        (1 to 1 + rng.nextInt(6)).map(i => Edge(a.toLong, a * 10L + i))
+      })
+      val d1 = 2; val d2 = 3; val s = 4
+      val tracker = new DegreeTracker
+      val alg = new DegResSampling(d1, d2, s, seed.toLong, run)
+      val seen = scala.collection.mutable.ArrayBuffer.empty[Edge]
+      val everStored = scala.collection.mutable.Set.empty[Long]
+      edges.foreach { e =>
+        alg.process(e, tracker.bump(e.a))
+        seen += e
+        val byVertex = seen.groupBy(_.a).filter(_._2.size >= d1)
+        val want = byVertex.keys.toVector
+          .sortBy(a => (Hashing.priority(seed.toLong, run, a), a)).take(s)
+        val stored = alg.storedNeighborhoods
+        assert(stored.map(_.a) == want, s"seed=$seed run=$run after $e")
+        stored.foreach(nb => assert(nb.neighbors == byVertex(nb.a).drop(d1 - 1).take(d2).map(_.b)))
+        assert(alg.result().map(_.a) == want.find(byVertex(_).size >= d1 + d2 - 1))
+        everStored ++= want
+      }
+      assert(everStored.size > s, s"seed=$seed: the stream must evict")
+    }
   }
 
   test("reservoir holds a uniform sample: each crossing vertex ~ s/x rate") {
@@ -136,7 +164,7 @@ class DegResSamplingSpec extends SparkSpec {
         (1 to 1 + rng.nextInt(6)).map(i => Edge(a.toLong, i.toLong))
       })
       val tracker = new DegreeTracker
-      val alg = new DegResSampling(2, 3, 3, new Random(seed * 13L))
+      val alg = new DegResSampling(2, 3, 3, seed * 13L, run = 0)
       var maxWords = 0L
       val everStored = scala.collection.mutable.Set.empty[Long]
       edges.foreach { e =>
@@ -153,9 +181,9 @@ class DegResSamplingSpec extends SparkSpec {
   }
 
   test("rejects invalid parameters") {
-    intercept[IllegalArgumentException](new DegResSampling(0, 1, 1, new Random(1)))
-    intercept[IllegalArgumentException](new DegResSampling(1, 0, 1, new Random(1)))
-    intercept[IllegalArgumentException](new DegResSampling(1, 1, 0, new Random(1)))
+    intercept[IllegalArgumentException](new DegResSampling(0, 1, 1, 1, 0))
+    intercept[IllegalArgumentException](new DegResSampling(1, 0, 1, 1, 0))
+    intercept[IllegalArgumentException](new DegResSampling(1, 1, 0, 1, 0))
   }
 
   test("planted star is always found when it is the only crossing vertex") {

@@ -68,8 +68,12 @@ class FrequentWitnessSpec extends SparkSpec {
 
   test("witness records map to the documented bipartite edges") {
     val recs = Seq(WitnessRecord(3, 100), WitnessRecord(3, 101), WitnessRecord(5, 102))
-    val (_, res) = FrequentWitness.runDetailed(recs, nItems = 5, d = 2, c = 2, seed = 9)
+    val (report, res) = FrequentWitness.runDetailed(recs, nItems = 5, d = 2, c = 2, seed = 9)
+    // Item -> A-vertex, witness -> B-vertex: the same run as on these edges.
+    val edges = Seq(Edge(3, 100), Edge(3, 101), Edge(5, 102))
+    assert(res == InsertionOnlyND.run(edges, n = 5, d = 2, c = 2, seed = 9))
     assert(res.succeeded)
-    assert(res.output.get.a == 3L)
+    assert(report == res.output.map(nb => FrequentItemReport(nb.a, nb.neighbors)))
+    assert(Neighborhood.isValid(res.output.get, SynthGraphs.adjacency(edges)))
   }
 }

@@ -30,6 +30,26 @@ class InsertionOnlyNDSpec extends SparkSpec {
       InsertionOnlyND.run(Seq(Edge(1, 1)), 10, 1, 1, 0))
   }
 
+  test("rejects d < 1 and a reservoir size < 1, naming the value") {
+    val e = Seq(Edge(1, 1))
+    val d0 = intercept[IllegalArgumentException](InsertionOnlyND.run(e, 10, 0, 2, 0))
+    assert(d0.getMessage.contains("degree threshold must be >= 1, got 0"))
+    val s0 = intercept[IllegalArgumentException](
+      InsertionOnlyND.run(e, 10, 4, 2, 0, sOverride = Some(0)))
+    assert(s0.getMessage.contains("reservoir size must be >= 1, got 0"))
+  }
+
+  test("the winning run is the successful one of least priority(seed, -1, run)") {
+    val outcomes = Vector(Some("r0"), None, Some("r2"), Some("r3"))
+    val picked = (1L to 20L).map { seed =>
+      val want = Seq(0, 2, 3).minBy(repro.Hashing.priority(seed, -1, _))
+      assert(InsertionOnlyND.pick(outcomes, seed) == outcomes(want))
+      want
+    }
+    assert(picked.distinct.size > 1, "the pick must vary with the seed")
+    assert(InsertionOnlyND.pick(Vector(None, None), 1L).isEmpty)
+  }
+
   // Success + validity + size across instance families and parameters.
   for {
     (family, mk) <- Seq[(String, (Long, Long) => (Vector[Edge], Long))](

@@ -8,12 +8,12 @@ import org.apache.spark.sql.streaming.StreamingQueryListener
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
-import repro.{Oracle, SparkSpec, SynthGraphs}
-import repro.core.WitnessRecord
+import repro.{Hashing, Oracle, SparkSpec, SynthGraphs}
+import repro.core.{FrequentWitness, WitnessRecord}
 
 /** Tests for the Structured Streaming stateful operator (S8): per-key
   * counts, witness collection rule, micro-batch invariance, final
-  * selection, Bernoulli-gate space mode.
+  * selection equal to the sequential build's, Bernoulli-gate space mode.
   */
 class StreamingWitnessSpec extends SparkSpec {
 
@@ -72,17 +72,38 @@ class StreamingWitnessSpec extends SparkSpec {
   }
 
   test("ungated operator matches the sequential candidate semantics") {
-    // Ungated: every key crossing d1(run) with >= d2 collectable witnesses
-    // is a candidate for that run — compare against a direct computation.
+    // Ungated, the operator's sample per run is the sequential reservoir's
+    // final set, so report and per-run success equal the sequential build's.
     val (recs, freq) = stream(30, 400, 1.0, seed = 31)
     val d = freq.values.max.toInt
-    val cfg = StreamingWitness.Config(nItems = 30, d = d, c = 2, seed = 32)
-    val (_, succ, _) = StreamingWitness.runMicroBatched(spark, recs, nBatches = 5, cfg)
-    val expectSucc = Vector.tabulate(cfg.c) { i =>
-      val d1 = cfg.thresholds(i)
-      freq.values.exists(f => f >= d1 + cfg.d2 - 1)
+    for (c <- Seq(2, 3)) {
+      val cfg = StreamingWitness.Config(nItems = 30, d = d, c = c, seed = 32)
+      val (want, seq) = FrequentWitness.runDetailed(recs, 30, d, c, seed = 32)
+      for (nBatches <- Seq(1, 5)) {
+        val (report, succ, _) = StreamingWitness.runMicroBatched(spark, recs, nBatches, cfg)
+        assert(report == want && succ == seq.runSucceeded, s"c=$c nBatches=$nBatches")
+      }
     }
-    assert(succ == expectSucc, s"got $succ, expected $expectSucc from frequencies")
+  }
+
+  test("a gate above every sampled key's priority leaves the report unchanged") {
+    // d = 4: most keys reach both thresholds, so each run's sample of s
+    // keys leaves many keys out and the gate below 1 cuts state.
+    val (recs, _) = stream(200, 3000, 1.1, seed = 61)
+    val full = StreamingWitness.Config(nItems = 200, d = 4, c = 2, seed = 62)
+    val latest = StreamingWitness.latestCandidates(spark, recs, 2, full)
+    val sampledMax = (0 until full.c).map { i =>
+      latest.filter(_.count >= full.thresholds(i))
+        .map(k => Hashing.priority(full.seed, i, k.item)).sorted.take(full.s).max
+    }.max
+    val gate = math.nextUp(sampledMax.toDouble) / Long.MaxValue.toDouble
+    assert(gate < 1.0, s"gate $gate must cut some keys")
+    val gated = full.copy(gate = gate)
+    val (rFull, sFull, stateFull)    = StreamingWitness.runMicroBatched(spark, recs, 2, full)
+    val (rGated, sGated, stateGated) = StreamingWitness.runMicroBatched(spark, recs, 2, gated)
+    assert(rFull.nonEmpty)
+    assert(rGated == rFull && sGated == sFull)
+    assert(stateGated < stateFull, s"gate $gate kept $stateGated of $stateFull buffered keys")
   }
 
   test("Bernoulli gate shrinks state while keeping heavy hitters findable") {
@@ -113,6 +134,12 @@ class StreamingWitnessSpec extends SparkSpec {
         StreamingWitness.runMicroBatched(spark, recs, nBatches = n, cfg))
       assert(e.getMessage.contains(s"got $n"))
     }
+  }
+
+  test("Config rejects d < 1 as the sequential build does, naming the value") {
+    val e = intercept[IllegalArgumentException](
+      StreamingWitness.Config(nItems = 10, d = 0, c = 2, seed = 1))
+    assert(e.getMessage.contains("degree threshold must be >= 1, got 0"))
   }
 
   test("state partitions: min(shuffle partitions, default parallelism), session conf restored") {
