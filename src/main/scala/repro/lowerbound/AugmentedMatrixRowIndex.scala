@@ -59,7 +59,7 @@ object AugmentedMatrixRowIndex {
     * returns the positions of row J learned to hold `true`.
     */
   private def oneRep(inst: Instance, invert: Boolean, c: Int, d: Int,
-                     rng: Random, seed: Long, ce: Double): (Set[Int], Long) = {
+                     rng: Random, seed: Long): (Set[Int], Long) = {
     val n = inst.n; val m = inst.m
     def bit(i: Int, j: Int): Boolean = inst.x(i - 1)(j - 1) ^ invert
     val perms: Map[Int, Vector[Int]] =
@@ -75,12 +75,11 @@ object AugmentedMatrixRowIndex {
       i <- (1 to n).iterator if i != inst.j
       j <- inst.known(i).iterator if bit(i, j)
     } yield StreamOp(Edge(i.toLong, perms(i)(j - 1).toLong), -1)
-    // No vertex-sampling bank here: the reduction in Lemma 6.3 only needs
-    // the sketch over the residual graph; cv=tiny keeps A' minimal while
-    // edge sampling does the recovery work. We use the full algorithm with
-    // default constants for faithfulness.
+    // The whole of Algorithm 3, both banks, at cv = ce = 1.0: Lemma 6.3
+    // needs only some c-approximation over the residual graph, and either
+    // bank may report row J.
     val alg = new TurnstileND(TurnstileConfig(n.toLong, m.toLong, d, c,
-      seed ^ rng.nextLong(), cv = 1.0, ce = ce, buckets = 6))
+      seed ^ rng.nextLong(), cv = 1.0, ce = 1.0, buckets = 6))
     alg.processAll(inserts ++ deletes)
     val res = alg.result()
     val learned = res.output match {
@@ -98,17 +97,16 @@ object AugmentedMatrixRowIndex {
     * @param reps repetitions per variant (paper: Θ(c log n); constant
     *             scaled for execution, recorded per table row)
     */
-  def runProtocol(inst: Instance, d: Int, c: Int, reps: Int, seed: Long,
-                  ce: Double = 1.0): ProtocolResult = {
+  def runProtocol(inst: Instance, d: Int, c: Int, reps: Int, seed: Long): ProtocolResult = {
     require(inst.m == 2 * d, s"AMRI reduction needs m = 2d (m=${inst.m}, d=$d)")
     val rng = new Random(seed)
     var words = 0L
     val ones  = mutable.HashSet.empty[Int]
     val zeros = mutable.HashSet.empty[Int]
     (1 to reps).foreach { _ =>
-      val (o, w1) = oneRep(inst, invert = false, c, d, rng, seed, ce)
+      val (o, w1) = oneRep(inst, invert = false, c, d, rng, seed)
       ones ++= o; words += w1
-      val (z, w2) = oneRep(inst, invert = true, c, d, rng, seed, ce)
+      val (z, w2) = oneRep(inst, invert = true, c, d, rng, seed)
       zeros ++= z; words += w2
     }
     // Decide the case: >= d ones recovered => row J had >= d ones and the

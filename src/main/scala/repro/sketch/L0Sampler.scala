@@ -17,7 +17,8 @@ import repro.Hashing.splitmix64
   * smallest u-hash — i.e. (w.h.p.) the min-hash of the support, which is a
   * uniform sample of the non-zero coordinates. All state is *linear* in the
   * update stream, so two sampler states with equal seeds merge by addition
-  * (exploited by repro.spark.SparkL0 for distributed builds).
+  * (what a build that sketches the ops per partition would rely on;
+  * DESIGN.md §4 says why repro.spark.SparkL0 shards the samplers instead).
   *
   * Level arrays are allocated lazily: a sampler that sees few survivors at
   * deep levels pays only for the levels it touches.

@@ -33,10 +33,9 @@ final case class TurnstileResult(
   def totalWords: Long = vertexSamplerWords + edgeSamplerWords + sampledVertices
 }
 
-/** Shared parameterization of Algorithm 3, used by both the sequential
-  * [[TurnstileND]] and the distributed [[repro.spark.SparkL0]] build so the
-  * two are sampler-for-sampler identical (linear sketches + equal seeds
-  * make them order- and partition-independent).
+/** Parameterization of Algorithm 3: the pre-sampled vertex set, the bank
+  * sizes and every sampler's seed, so that each shard of a [[TurnstileND]]
+  * builds its samplers exactly as the whole sketch does.
   *
   * x = max(n/c, sqrt(n)); A' has ~ cv·x·ln n vertices, each with
   * ~ cv·(d/c)·ln n ℓ₀-samplers over B; plus ~ ce·(nd/c)(1/x + 1/c)·ln(nm)
@@ -88,19 +87,13 @@ final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
   def edgeCoord(a: Long, b: Long): Long = (a - 1) * m + (b - 1)
   def coordEdge(coord: Long): (Long, Long) = (coord / m + 1, coord % m + 1)
 
-  /** Assemble the final answer from the two strategies' sampled sets
-    * (shared by sequential and Spark builds).
-    *
-    * @param vertexSamples per pre-sampled vertex, the distinct sampled B-ids
-    * @param edgeSamples   distinct globally sampled edges
-    */
-  def assemble(vertexSamples: Map[Long, Set[Long]], edgeSamples: Set[(Long, Long)],
-               vertexWords: Long, edgeWords: Long): TurnstileResult = {
-    val vertexHit = vertexSamples.iterator.collect {
+  /** Build the answer from the samples of all shards of the sketch. */
+  def assemble(samples: TurnstileSamples): TurnstileResult = {
+    val vertexHit = samples.vertex.iterator.collect {
       case (a, nbrs) if nbrs.size >= dc => Neighborhood(a, nbrs.toVector.sorted)
     }.toVector.sortBy(nb => (-nb.size, nb.a)).headOption
 
-    val edgeHit = edgeSamples.groupBy(_._1).iterator.collect {
+    val edgeHit = samples.edges.groupBy(_._1).iterator.collect {
       case (a, es) if es.size >= dc => Neighborhood(a, es.map(_._2).toVector.sorted)
     }.toVector.sortBy(nb => (-nb.size, nb.a)).headOption
 
@@ -114,8 +107,20 @@ final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
     }
     TurnstileResult(out, strat,
       vertexHit.map(_.size), edgeHit.map(_.size),
-      vertexWords, edgeWords, sampledVertices.size, nEdgeSamplers)
+      samples.vertexWords, samples.edgeWords, sampledVertices.size, nEdgeSamplers)
   }
+}
+
+/** What the samplers of one [[TurnstileND]] shard return: per pre-sampled
+  * vertex of the shard, the distinct sampled B-ids; the distinct sampled
+  * edges; and the words each bank holds. Shards hold disjoint samplers, so
+  * `++` over all shards gives the whole sketch's samples.
+  */
+final case class TurnstileSamples(vertex: Map[Long, Set[Long]], edges: Set[(Long, Long)],
+                                  vertexWords: Long, edgeWords: Long) {
+  def ++(o: TurnstileSamples): TurnstileSamples =
+    TurnstileSamples(vertex ++ o.vertex, edges ++ o.edges,
+      vertexWords + o.vertexWords, edgeWords + o.edgeWords)
 }
 
 /** Algorithm 3, sequential build: one-pass c-approximation for Neighborhood
@@ -123,21 +128,26 @@ final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
   * Õ(dn/c²) for c ≤ sqrt(n), Õ(sqrt(n)·d/c) beyond; succeeds w.h.p. via
   * vertex sampling when ≥ n/x vertices have degree ≥ d/c (Lemma 5.2), via
   * edge sampling otherwise (Lemma 5.3).
+  *
+  * Shard `part` of `parts` holds only the vertex banks at positions
+  * j ≡ part (mod parts) of A′ and the edge samplers i ≡ part (mod parts);
+  * the default is the whole sketch. Every sampler sees the whole stream, so
+  * a shard's samplers end in the states the whole sketch's would
+  * ([[repro.spark.SparkL0]] builds the shards in parallel).
   */
-final class TurnstileND(val config: TurnstileConfig) {
-  def this(n: Long, m: Long, d: Int, c: Int, seed: Long,
-           cv: Double = 2.0, ce: Double = 1.0, buckets: Int = 6) =
-    this(TurnstileConfig(n, m, d, c, seed, cv, ce, buckets))
+final class TurnstileND(val config: TurnstileConfig, part: Int = 0, parts: Int = 1) {
+  require(parts >= 1 && part >= 0 && part < parts,
+    s"shard needs 0 <= part < parts: part=$part, parts=$parts")
 
   import config._
 
   private val vertexBank: Map[Long, Array[L0Sampler]] =
-    sampledVertices.map { a =>
+    sampledVertices.iterator.zipWithIndex.collect { case (a, j) if j % parts == part =>
       a -> Array.tabulate(samplersPerVertex)(i => newVertexSampler(a, i))
     }.toMap
 
   private val edgeBank: Array[L0Sampler] =
-    Array.tabulate(nEdgeSamplers)(newEdgeSampler)
+    Array.range(part, nEdgeSamplers, parts).map(newEdgeSampler)
 
   /** Feed one turnstile stream event. */
   def process(op: StreamOp): Unit = {
@@ -155,15 +165,15 @@ final class TurnstileND(val config: TurnstileConfig) {
     ops.iterator.foreach(process); this
   }
 
-  /** Query after the stream ends. */
-  def result(): TurnstileResult = {
-    val vertexSamples = sampledVertices.iterator.map { a =>
-      a -> vertexBank(a).iterator.flatMap(_.sample()).map(_ + 1).toSet
-    }.toMap
-    val edgeSamples = edgeBank.iterator.flatMap(_.sample()).map(coordEdge).toSet
-    config.assemble(
-      vertexSamples, edgeSamples,
-      vertexWords = vertexBank.valuesIterator.map(_.map(_.words).sum).sum,
-      edgeWords   = edgeBank.map(_.words).sum)
-  }
+  /** What this shard's samplers return after the stream ends. */
+  def samples: TurnstileSamples = TurnstileSamples(
+    vertex      = vertexBank.map { case (a, bank) => a -> bank.iterator.flatMap(_.sample()).map(_ + 1).toSet },
+    edges       = edgeBank.iterator.flatMap(_.sample()).map(coordEdge).toSet,
+    vertexWords = vertexBank.valuesIterator.map(_.map(_.words).sum).sum,
+    edgeWords   = edgeBank.map(_.words).sum)
+
+  /** Query after the stream ends: Algorithm 3's answer when this is the
+    * whole sketch (the default shard).
+    */
+  def result(): TurnstileResult = config.assemble(samples)
 }

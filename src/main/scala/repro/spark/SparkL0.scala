@@ -3,86 +3,27 @@ package repro.spark
 import org.apache.spark.sql.SparkSession
 
 import repro.core.StreamOp
-import repro.sketch.{TurnstileConfig, TurnstileResult}
+import repro.sketch.{TurnstileConfig, TurnstileND, TurnstileResult}
 
-/** Distributed build of Algorithm 3's sketch state (DESIGN.md §4, S9).
+/** Distributed build of Algorithm 3's sketch (DESIGN.md §4, S9).
   *
-  * ℓ₀ sketches are linear, so any partitioning of the work reproduces the
-  * sequential state exactly. Here we parallelize over *samplers* (the
-  * dominant cost — every stream op touches every global edge sampler):
-  *
-  *  - vertex banks: one task per pre-sampled vertex, consuming only that
-  *    vertex's substream (pre-grouped and broadcast);
-  *  - edge bank: tasks over sampler indices, each consuming the broadcast
-  *    op array.
-  *
-  * Given the same [[TurnstileConfig]] (same seeds), the result is
-  * bit-identical to the sequential [[repro.sketch.TurnstileND]] — asserted
-  * in `SparkL0Spec`.
+  * It parallelizes over *samplers*, the dominant cost: every stream op
+  * updates every edge sampler. One Spark job runs a [[TurnstileND]] shard
+  * per task over the broadcast ops, and `reduce` adds the shards' samples.
+  * Each sampler still sees the whole stream in order, so the result equals
+  * the sequential `new TurnstileND(config)`'s — asserted in `SparkL0Spec`.
   */
 object SparkL0 {
 
   def run(spark: SparkSession, ops: Seq[StreamOp], config: TurnstileConfig): TurnstileResult = {
     val sc = spark.sparkContext
-
-    val opsArr: Array[(Long, Long, Long)] =
-      ops.iterator.map(op => (op.edge.a, op.edge.b, op.delta.toLong)).toArray
-    val byVertex: Map[Long, Array[(Long, Long)]] = {
-      val sampled = config.sampledVertices.toSet
-      opsArr.iterator
-        .filter { case (a, _, _) => sampled.contains(a) }
-        .toArray
-        .groupBy(_._1)
-        .map { case (a, es) => a -> es.map(e => (e._2, e._3)) }
-    }
-    val bByVertex = sc.broadcast(byVertex)
-    val bOps      = sc.broadcast(opsArr)
-    val par       = math.max(1, sc.defaultParallelism)
-
-    // Vertex strategy: per sampled vertex, samplersPerVertex sketches over B.
-    val cfg = config
-    val vertexOut: Array[(Long, Set[Long], Long)] =
-      sc.parallelize(cfg.sampledVertices, math.min(cfg.sampledVertices.size, par * 4))
-        .map { a =>
-          val mine = bByVertex.value.getOrElse(a, Array.empty[(Long, Long)])
-          var words = 0L
-          val got = Set.newBuilder[Long]
-          var i = 0
-          while (i < cfg.samplersPerVertex) {
-            val s = cfg.newVertexSampler(a, i)
-            var j = 0
-            while (j < mine.length) { s.update(mine(j)._1 - 1, mine(j)._2); j += 1 }
-            s.sample().foreach(b => got += (b + 1))
-            words += s.words
-            i += 1
-          }
-          (a, got.result(), words)
-        }
-        .collect()
-
-    // Edge strategy: every op hits every sampler; parallelize over samplers.
-    val edgeOut: Array[(Option[Long], Long)] =
-      sc.parallelize(0 until cfg.nEdgeSamplers, math.min(cfg.nEdgeSamplers, par * 4))
-        .map { i =>
-          val s = cfg.newEdgeSampler(i)
-          val arr = bOps.value
-          var j = 0
-          while (j < arr.length) {
-            val (a, b, delta) = arr(j)
-            s.update(cfg.edgeCoord(a, b), delta)
-            j += 1
-          }
-          (s.sample(), s.words)
-        }
-        .collect()
-
-    bByVertex.destroy(); bOps.destroy()
-
-    config.assemble(
-      vertexSamples = vertexOut.map { case (a, bs, _) => a -> bs }.toMap,
-      edgeSamples   = edgeOut.iterator.flatMap(_._1).map(cfg.coordEdge).toSet,
-      vertexWords   = vertexOut.map(_._3).sum,
-      edgeWords     = edgeOut.map(_._2).sum,
-    )
+    val parts = 4 * sc.defaultParallelism
+    val bOps = sc.broadcast(ops.toArray)
+    try {
+      val samples = sc.parallelize(0 until parts, parts)
+        .map(p => new TurnstileND(config, p, parts).processAll(bOps.value).samples)
+        .reduce(_ ++ _)
+      config.assemble(samples)
+    } finally bOps.destroy()
   }
 }

@@ -52,7 +52,8 @@ class TurnstileGridSpec extends SparkSpec {
     val (edges, _) = SynthGraphs.plantedStar(n, m, d, maxBg = 2, seed)
     val ops = SynthGraphs.turnstileFrom(edges, m, chaffFraction = 1.0, seed = seed + 1)
     val finalAdj = SynthGraphs.adjacencyOf(ops)
-    val res = new TurnstileND(n, m, d, 2, seed = seed + 2).processAll(ops).result()
+    val cfg = TurnstileConfig(n, m, d, 2, seed = seed + 2, cv = 2.0, ce = 1.0, buckets = 6)
+    val res = new TurnstileND(cfg).processAll(ops).result()
     res.output.foreach(nb => assert(Neighborhood.isValid(nb, finalAdj)))
   }
 }

@@ -1,5 +1,9 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.TestBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -15,6 +19,21 @@ import repro.tables.Tables
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Spark jobs started by `body`, with the listener bus drained before
+    * and after so that no other job's events are counted.
+    */
+  def jobsOf(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    TestBus.drain(sc)
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    try { body; TestBus.drain(sc) } finally sc.removeSparkListener(listener)
+    jobs.get
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

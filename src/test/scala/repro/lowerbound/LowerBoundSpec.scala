@@ -122,7 +122,7 @@ class AugmentedMatrixRowIndexSpec extends SparkSpec {
     val d = 8; val c = 2
     val inst = AugmentedMatrixRowIndex.sample(n = 12, m = 2 * d, k = d / c - 1, seed = 10L + seed)
     val reps = (c * math.log(inst.n.toDouble) * 2).toInt
-    val res = AugmentedMatrixRowIndex.runProtocol(inst, d, c, reps, seed = 20L + seed, ce = 1.0)
+    val res = AugmentedMatrixRowIndex.runProtocol(inst, d, c, reps, seed = 20L + seed)
     assert(res.recoveredRow.nonEmpty, "protocol must output a row")
     assert(res.correct,
       s"row mismatch: learned ${res.onesLearned} ones / ${res.zerosLearned} zeros, " +

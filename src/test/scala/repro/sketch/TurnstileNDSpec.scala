@@ -5,7 +5,8 @@ import repro.SynthGraphs
 import repro.core.{Neighborhood, StreamOp}
 
 /** Tests for Algorithm 3 / Theorem 5.4 (turnstile Neighborhood Detection):
-  * success under deletions, validity, strategy regimes, space shape.
+  * success under deletions, validity, strategy regimes, space shape, and
+  * sampler shards that add up to the whole sketch.
   */
 class TurnstileNDSpec extends SparkSpec {
 
@@ -34,7 +35,7 @@ class TurnstileNDSpec extends SparkSpec {
       val ops = SynthGraphs.turnstileFrom(edges, m, chaff, seed = 200L * t + c)
       val adj = SynthGraphs.adjacencyOf(ops)
       assert(adj(planted).size == d, "chaff must not change the final graph")
-      val alg = new TurnstileND(n, m, d, c, seed = 300L * t + c)
+      val alg = new TurnstileND(TurnstileConfig(n, m, d, c, seed = 300L * t + c, cv = 2.0, ce = 1.0, buckets = 6))
       val res = alg.processAll(ops).result()
       res.output.foreach { nb =>
         assert(nb.size >= math.max(1, d / c), s"size ${nb.size} < d/c")
@@ -48,7 +49,8 @@ class TurnstileNDSpec extends SparkSpec {
   test("deleting every edge leaves nothing to report") {
     val (edges, _) = SynthGraphs.plantedStar(32, 64, 8, 2, seed = 9)
     val ops = edges.map(e => StreamOp(e, 1)) ++ edges.map(e => StreamOp(e, -1))
-    val res = new TurnstileND(32, 64, 8, 2, seed = 10).processAll(ops).result()
+    val cfg = TurnstileConfig(32, 64, 8, 2, seed = 10, cv = 2.0, ce = 1.0, buckets = 6)
+    val res = new TurnstileND(cfg).processAll(ops).result()
     assert(res.output.isEmpty)
   }
 
@@ -91,7 +93,8 @@ class TurnstileNDSpec extends SparkSpec {
     val (edges, _) = SynthGraphs.plantedStar(n, m, d, 4, seed = 77)
     val ops = edges.map(e => StreamOp(e, 1))
     val words = Seq(2, 4, 8).map { c =>
-      new TurnstileND(n, m, d, c, seed = 78, cv = 1.0, ce = 0.5).processAll(ops).result().totalWords
+      val cfg = TurnstileConfig(n, m, d, c, seed = 78, cv = 1.0, ce = 0.5, buckets = 6)
+      new TurnstileND(cfg).processAll(ops).result().totalWords
     }
     assert(words(0) > words(1) && words(1) > words(2),
       s"expected decreasing words in c, got $words")
@@ -100,9 +103,34 @@ class TurnstileNDSpec extends SparkSpec {
   test("result is deterministic given the seed") {
     val (edges, _) = SynthGraphs.plantedStar(48, 128, 12, 3, seed = 1)
     val ops = edges.map(e => StreamOp(e, 1))
-    val r1 = new TurnstileND(48, 128, 12, 2, seed = 2).processAll(ops).result()
-    val r2 = new TurnstileND(48, 128, 12, 2, seed = 2).processAll(ops).result()
+    val cfg = TurnstileConfig(48, 128, 12, 2, seed = 2, cv = 2.0, ce = 1.0, buckets = 6)
+    val r1 = new TurnstileND(cfg).processAll(ops).result()
+    val r2 = new TurnstileND(cfg).processAll(ops).result()
     assert(r1.output == r2.output && r1.strategy == r2.strategy)
+  }
+
+  private val shardCfg = TurnstileConfig(48, 192, 12, 2, seed = 21, cv = 1.0, ce = 0.3, buckets = 6)
+  private lazy val shardOps = {
+    val (edges, _) = SynthGraphs.plantedStar(48, 192, 12, maxBg = 3, seed = 22)
+    SynthGraphs.turnstileFrom(edges, 192, chaffFraction = 0.4, seed = 23)
+  }
+
+  // More shards than samplers leaves some shards empty.
+  for (parts <- Seq(1, 2, 3, 7, shardCfg.sampledVertices.size + shardCfg.nEdgeSamplers + 1))
+    test(s"the shards' samples add up to the whole sketch's (parts=$parts)") {
+      val shards = (0 until parts).map(p => new TurnstileND(shardCfg, p, parts).processAll(shardOps).samples)
+      val whole = new TurnstileND(shardCfg).processAll(shardOps).samples
+      assert(shards.reduce(_ ++ _) == whole)
+      assert(whole.vertex.size == shardCfg.sampledVertices.size && whole.edges.nonEmpty)
+      if (parts > math.max(shardCfg.sampledVertices.size, shardCfg.nEdgeSamplers))
+        assert(shards.last == TurnstileSamples(Map.empty, Set.empty, 0L, 0L))
+    }
+
+  test("the shard constructor rejects part outside [0, parts), naming both") {
+    for ((part, parts) <- Seq((-1, 4), (4, 4), (0, 0))) {
+      val e = intercept[IllegalArgumentException](new TurnstileND(shardCfg, part, parts))
+      assert(e.getMessage.contains(s"part=$part") && e.getMessage.contains(s"parts=$parts"))
+    }
   }
 
   test("config rejects n·m beyond Long.MaxValue, naming n and m") {

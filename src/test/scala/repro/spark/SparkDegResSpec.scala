@@ -1,9 +1,5 @@
 package repro.spark
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.TestBus
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-
 import repro.{Oracle, SparkSpec, SynthGraphs}
 import repro.core.{Edge, InsertionOnlyND, Neighborhood}
 
@@ -16,21 +12,6 @@ import repro.core.{Edge, InsertionOnlyND, Neighborhood}
 class SparkDegResSpec extends SparkSpec {
 
   private def df(edges: Seq[Edge]) = SynthGraphs.edgesDf(spark, edges)
-
-  /** Spark jobs started by `body`, with the listener bus drained before
-    * and after so that no other job's events are counted.
-    */
-  private def jobsOf(body: => Unit): Int = {
-    val sc = spark.sparkContext
-    TestBus.drain(sc)
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-    }
-    sc.addSparkListener(listener)
-    try { body; TestBus.drain(sc) } finally sc.removeSparkListener(listener)
-    jobs.get
-  }
 
   private val families = Seq[(String, Long => Vector[Edge])](
     ("plantedStar", s => SynthGraphs.plantedStar(96, 4 * 96, 24, 6, s)._1),

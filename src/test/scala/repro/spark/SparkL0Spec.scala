@@ -5,8 +5,9 @@ import repro.core.StreamOp
 import repro.sketch.{TurnstileConfig, TurnstileND}
 
 /** The distributed sketch build must be bit-identical to the sequential
-  * Algorithm 3 given the same config: ℓ₀ sketches are linear and the seeds
-  * coincide, so partitioning cannot change any sampler's final state.
+  * Algorithm 3 given the same config: each shard builds its samplers with
+  * the whole sketch's seeds and feeds them the whole stream in order, so
+  * no sampler's final state can differ. A call is one Spark job.
   */
 class SparkL0Spec extends SparkSpec {
 
@@ -23,10 +24,14 @@ class SparkL0Spec extends SparkSpec {
     val cfg = TurnstileConfig(n, m, d, c, seed = 9L * c, cv = 1.0, ce = 0.3, buckets = 6)
     val seqRes   = new TurnstileND(cfg).processAll(ops).result()
     val sparkRes = SparkL0.run(spark, ops, cfg)
-    assert(sparkRes.output == seqRes.output, "outputs differ")
-    assert(sparkRes.strategy == seqRes.strategy, "strategies differ")
-    assert(sparkRes.vertexSamplerWords == seqRes.vertexSamplerWords, "vertex words differ")
-    assert(sparkRes.edgeSamplerWords == seqRes.edgeSamplerWords, "edge words differ")
+    assert(sparkRes == seqRes)
+  }
+
+  for (c <- Seq(2, 4)) test(s"one Spark job per call (c=$c)") {
+    val n = 48L; val m = 192L; val d = 12
+    val ops = instance(n, m, d, 0.3, seed = 60L + c)
+    val cfg = TurnstileConfig(n, m, d, c, seed = 61L + c, cv = 1.0, ce = 0.3, buckets = 6)
+    assert(jobsOf { SparkL0.run(spark, ops, cfg) } == 1)
   }
 
   test("Spark build succeeds and validates on a turnstile planted star") {
