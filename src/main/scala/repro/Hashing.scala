@@ -1,6 +1,6 @@
 package repro
 
-/** Hashing shared by the ℓ₀-sampler and every priority sampler. */
+/** Hashing shared by the ℓ₀-sketches, their seeds, and every priority sampler. */
 object Hashing {
 
   /** One SplitMix64 step: add the golden-ratio increment, then mix. A

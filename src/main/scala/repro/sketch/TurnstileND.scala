@@ -3,6 +3,7 @@ package repro.sketch
 import scala.collection.mutable
 import scala.util.Random
 
+import repro.Hashing.splitmix64
 import repro.core.{Neighborhood, StreamOp}
 
 /** Which of Algorithm 3's two strategies produced the output. */
@@ -17,7 +18,9 @@ object TurnstileStrategy {
   * `vertexBestSize` / `edgeBestSize` report the largest neighborhood each
   * strategy found on its own (None = that strategy found nothing of size
   * >= d/c) so the Lemma 5.2 / 5.3 regime split is observable even when
-  * both strategies succeed.
+  * both strategies succeed. `vertexDecodeFailures` counts the vertex
+  * sketches that could not decode (a zero vector is not a failure), and
+  * `edgeDecodeFailures` is 1 if the edge sketch could not.
   */
 final case class TurnstileResult(
     output: Option[Neighborhood],
@@ -28,24 +31,27 @@ final case class TurnstileResult(
     edgeSamplerWords: Long,
     sampledVertices: Int,
     edgeSamplers: Int,
+    vertexDecodeFailures: Int,
+    edgeDecodeFailures: Int,
 ) {
   def succeeded: Boolean = output.nonEmpty
   def totalWords: Long = vertexSamplerWords + edgeSamplerWords + sampledVertices
 }
 
-/** Parameterization of Algorithm 3: the pre-sampled vertex set, the bank
-  * sizes and every sampler's seed, so that each shard of a [[TurnstileND]]
-  * builds its samplers exactly as the whole sketch does.
+/** Parameterization of Algorithm 3: the pre-sampled vertex set, the sample
+  * sizes and every sketch's seed and cells, so that each shard of a
+  * [[TurnstileND]] builds its sketches exactly as the whole sketch does.
   *
-  * x = max(n/c, sqrt(n)); A' has ~ cv·x·ln n vertices, each with
-  * ~ cv·(d/c)·ln n ℓ₀-samplers over B; plus ~ ce·(nd/c)(1/x + 1/c)·ln(nm)
-  * global samplers over A×B. The paper's constants (10) are scaled by
-  * cv / ce (DESIGN.md §6).
+  * x = max(n/c, sqrt(n)); A' has ~ cv·x·ln n vertices, each with a
+  * [[KSampler]] of ⌊d/c⌋ samples over B; plus one [[KSampler]] of
+  * ~ ce·(nd/c)(1/x + 1/c)·ln(nm) samples over A×B. The paper's constants
+  * (10) are scaled by cv / ce (DESIGN.md §6). A sketch of k samples keeps
+  * `buckets`·max(8, ⌈k/2⌉) cells per level.
   */
 final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
                                  cv: Double, ce: Double, buckets: Int) {
-  require(c >= 1 && d >= 1 && n >= 1 && m >= 1)
-  // The edge samplers' domain n·m and every edgeCoord must fit in a Long.
+  require(c >= 1 && d >= 1 && n >= 1 && m >= 1 && buckets >= 1)
+  // The edge sketch's domain n·m and every edgeCoord must fit in a Long.
   require(n <= Long.MaxValue / m, s"n·m must fit in a Long: n=$n, m=$m")
 
   val dc: Int = math.max(1, d / c)
@@ -63,25 +69,29 @@ final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
     }
   }
 
-  val samplersPerVertex: Int =
-    math.max(1, math.ceil(cv * dc * math.log(n.toDouble + 1)).toInt)
+  /** Samples each vertex sketch draws (its k). */
+  val samplersPerVertex: Int = dc
 
+  /** Samples the edge sketch draws (its k). */
   val nEdgeSamplers: Int = math.max(1, math.ceil(
     ce * (n.toDouble * d / c) * (1.0 / x + 1.0 / c) * math.log(n.toDouble * m + 1)).toInt)
 
-  private def mix(i: Long): Long = {
-    var z = seed ^ (i * 0x9e3779b97f4a7c15L)
-    z = (z ^ (z >>> 31)) * 0xff51afd7ed558ccdL
-    z ^ (z >>> 33)
+  /** IBLT cells per level of a sketch that draws k samples. */
+  def cellsFor(k: Int): Int = buckets * math.max(8, (k + 1) / 2)
+
+  /** Seed of vertex a's sketch; the edge sketch's is `samplerSeed(0)`. */
+  private def samplerSeed(a: Long): Long = splitmix64(splitmix64(seed) + a)
+
+  def newVertexSampler(a: Long): KSampler =
+    new KSampler(m, samplerSeed(a), samplersPerVertex, cellsFor(samplersPerVertex))
+  def newEdgeSampler(): KSampler =
+    new KSampler(n * m, samplerSeed(0), nEdgeSamplers, cellsFor(nEdgeSamplers))
+
+  /** The input contract of a stream op's edge (a, b). */
+  def requireEdge(a: Long, b: Long): Unit = {
+    require(a >= 1 && a <= n, s"vertex id a=$a out of [1, n=$n]")
+    require(b >= 1 && b <= m, s"neighbor id b=$b out of [1, m=$m]")
   }
-
-  def vertexSamplerSeed(a: Long, i: Int): Long = mix(a * 65537L + i)
-  def edgeSamplerSeed(i: Int): Long            = mix(0x5eed0000L + i)
-
-  def newVertexSampler(a: Long, i: Int): L0Sampler =
-    new L0Sampler(m, vertexSamplerSeed(a, i), buckets)
-  def newEdgeSampler(i: Int): L0Sampler =
-    new L0Sampler(n * m, edgeSamplerSeed(i), buckets)
 
   /** Edge (a, b) as a coordinate of the A×B domain. */
   def edgeCoord(a: Long, b: Long): Long = (a - 1) * m + (b - 1)
@@ -107,20 +117,24 @@ final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
     }
     TurnstileResult(out, strat,
       vertexHit.map(_.size), edgeHit.map(_.size),
-      samples.vertexWords, samples.edgeWords, sampledVertices.size, nEdgeSamplers)
+      samples.vertexWords, samples.edgeWords, sampledVertices.size, nEdgeSamplers,
+      samples.vertexFailures, samples.edgeFailures)
   }
 }
 
-/** What the samplers of one [[TurnstileND]] shard return: per pre-sampled
-  * vertex of the shard, the distinct sampled B-ids; the distinct sampled
-  * edges; and the words each bank holds. Shards hold disjoint samplers, so
-  * `++` over all shards gives the whole sketch's samples.
+/** What the sketches of one [[TurnstileND]] shard return: per pre-sampled
+  * vertex of the shard, its sampled B-ids; the sampled edges; the words
+  * each bank holds; and the sketches of each bank that failed to decode.
+  * Shards hold disjoint sketches, so `++` over all shards gives the whole
+  * sketch's samples.
   */
 final case class TurnstileSamples(vertex: Map[Long, Set[Long]], edges: Set[(Long, Long)],
-                                  vertexWords: Long, edgeWords: Long) {
+                                  vertexWords: Long, edgeWords: Long,
+                                  vertexFailures: Int = 0, edgeFailures: Int = 0) {
   def ++(o: TurnstileSamples): TurnstileSamples =
     TurnstileSamples(vertex ++ o.vertex, edges ++ o.edges,
-      vertexWords + o.vertexWords, edgeWords + o.edgeWords)
+      vertexWords + o.vertexWords, edgeWords + o.edgeWords,
+      vertexFailures + o.vertexFailures, edgeFailures + o.edgeFailures)
 }
 
 /** Algorithm 3, sequential build: one-pass c-approximation for Neighborhood
@@ -129,10 +143,10 @@ final case class TurnstileSamples(vertex: Map[Long, Set[Long]], edges: Set[(Long
   * vertex sampling when ≥ n/x vertices have degree ≥ d/c (Lemma 5.2), via
   * edge sampling otherwise (Lemma 5.3).
   *
-  * Shard `part` of `parts` holds only the vertex banks at positions
-  * j ≡ part (mod parts) of A′ and the edge samplers i ≡ part (mod parts);
-  * the default is the whole sketch. Every sampler sees the whole stream, so
-  * a shard's samplers end in the states the whole sketch's would
+  * Shard `part` of `parts` holds only the vertex sketches at positions
+  * j ≡ part (mod parts) of A′, and shard 0 also the edge sketch; the
+  * default is the whole sketch. Every sketch sees the whole stream, so a
+  * shard's sketches end in the states the whole sketch's would
   * ([[repro.spark.SparkL0]] builds the shards in parallel).
   */
 final class TurnstileND(val config: TurnstileConfig, part: Int = 0, parts: Int = 1) {
@@ -141,36 +155,42 @@ final class TurnstileND(val config: TurnstileConfig, part: Int = 0, parts: Int =
 
   import config._
 
-  private val vertexBank: Map[Long, Array[L0Sampler]] =
+  private val vertexBank: Map[Long, KSampler] =
     sampledVertices.iterator.zipWithIndex.collect { case (a, j) if j % parts == part =>
-      a -> Array.tabulate(samplersPerVertex)(i => newVertexSampler(a, i))
+      a -> newVertexSampler(a)
     }.toMap
 
-  private val edgeBank: Array[L0Sampler] =
-    Array.range(part, nEdgeSamplers, parts).map(newEdgeSampler)
+  private val edgeSampler: Option[KSampler] = Option.when(part == 0)(newEdgeSampler())
 
-  /** Feed one turnstile stream event. */
+  /** Feed one turnstile stream event; its edge must lie in [1, n] × [1, m]. */
   def process(op: StreamOp): Unit = {
     val a = op.edge.a; val b = op.edge.b
-    vertexBank.get(a).foreach { bank =>
-      var i = 0
-      while (i < bank.length) { bank(i).update(b - 1, op.delta.toLong); i += 1 }
-    }
-    val coord = edgeCoord(a, b)
-    var i = 0
-    while (i < edgeBank.length) { edgeBank(i).update(coord, op.delta.toLong); i += 1 }
+    requireEdge(a, b)
+    val delta = op.delta.toLong
+    vertexBank.get(a).foreach(_.update(b - 1, delta))
+    edgeSampler.foreach(_.update(edgeCoord(a, b), delta))
   }
 
   def processAll(ops: IterableOnce[StreamOp]): this.type = {
     ops.iterator.foreach(process); this
   }
 
-  /** What this shard's samplers return after the stream ends. */
-  def samples: TurnstileSamples = TurnstileSamples(
-    vertex      = vertexBank.map { case (a, bank) => a -> bank.iterator.flatMap(_.sample()).map(_ + 1).toSet },
-    edges       = edgeBank.iterator.flatMap(_.sample()).map(coordEdge).toSet,
-    vertexWords = vertexBank.valuesIterator.map(_.map(_.words).sum).sum,
-    edgeWords   = edgeBank.map(_.words).sum)
+  /** What this shard's sketches return after the stream ends. */
+  def samples: TurnstileSamples = {
+    val vertex = vertexBank.map { case (a, s) => a -> s.sample() }
+    val edges = edgeSampler.map(_.sample())
+    def drawn(r: KSample): Vector[Long] = r match {
+      case KSample.Drawn(xs) => xs
+      case _                 => Vector.empty
+    }
+    TurnstileSamples(
+      vertex         = vertex.map { case (a, r) => a -> drawn(r).iterator.map(_ + 1).toSet },
+      edges          = edges.iterator.flatMap(drawn).map(coordEdge).toSet,
+      vertexWords    = vertexBank.valuesIterator.map(_.words).sum,
+      edgeWords      = edgeSampler.fold(0L)(_.words),
+      vertexFailures = vertex.valuesIterator.count(_ == KSample.Failed),
+      edgeFailures   = edges.count(_ == KSample.Failed))
+  }
 
   /** Query after the stream ends: Algorithm 3's answer when this is the
     * whole sketch (the default shard).

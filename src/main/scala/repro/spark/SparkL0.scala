@@ -7,15 +7,16 @@ import repro.sketch.{TurnstileConfig, TurnstileND, TurnstileResult}
 
 /** Distributed build of Algorithm 3's sketch (DESIGN.md §4, S9).
   *
-  * It parallelizes over *samplers*, the dominant cost: every stream op
-  * updates every edge sampler. One Spark job runs a [[TurnstileND]] shard
-  * per task over the broadcast ops, and `reduce` adds the shards' samples.
-  * Each sampler still sees the whole stream in order, so the result equals
-  * the sequential `new TurnstileND(config)`'s — asserted in `SparkL0Spec`.
+  * It parallelizes over *sketches*: one Spark job runs a [[TurnstileND]]
+  * shard per task over the broadcast ops (shard 0 also holds the edge
+  * sketch), and `reduce` adds the shards' samples. Each sketch still sees
+  * the whole stream in order, so the result equals the sequential
+  * `new TurnstileND(config)`'s — asserted in `SparkL0Spec`.
   */
 object SparkL0 {
 
   def run(spark: SparkSession, ops: Seq[StreamOp], config: TurnstileConfig): TurnstileResult = {
+    ops.foreach(op => config.requireEdge(op.edge.a, op.edge.b)) // before any task fails on it
     val sc = spark.sparkContext
     val parts = 4 * sc.defaultParallelism
     val bOps = sc.broadcast(ops.toArray)

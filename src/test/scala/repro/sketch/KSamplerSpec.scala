@@ -1,0 +1,177 @@
+package repro.sketch
+
+import scala.util.Random
+
+import repro.SparkSpec
+
+/** The k-sample ℓ₀-sketch: exact recovery of small supports, the bottom-k
+  * by u-hash of large ones, agreement with [[L0Sampler]] at k = 1,
+  * linearity, the three query results, and the cell floor of
+  * [[TurnstileConfig.cellsFor]]. Property-style tests use seeded random
+  * supports.
+  */
+class KSamplerSpec extends SparkSpec {
+
+  // Cells per level exactly as Algorithm 3 sizes its sketches.
+  private val cfg = TurnstileConfig(64, 4096, 64, 1, seed = 1, cv = 1.0, ce = 1.0, buckets = 6)
+  private def sketch(domain: Long, seed: Long, k: Int): KSampler =
+    new KSampler(domain, seed, k, cfg.cellsFor(k))
+
+  private def support(rng: Random, size: Int, domain: Long): Vector[Long] = {
+    val s = scala.collection.mutable.LinkedHashSet.empty[Long]
+    while (s.size < size) s += rng.nextLong(domain)
+    s.toVector
+  }
+
+  /** The k coordinates of least u-hash, by brute force. */
+  private def bottomK(s: KSampler, xs: Seq[Long]): Vector[Long] =
+    xs.toVector.sortBy(x => s.uHash(x) ^ Long.MinValue).take(s.k)
+
+  test("the config's cells are 6·max(8, ⌈k/2⌉) at buckets = 6: max(48, 3k) for even k") {
+    val cells = Seq(1 -> 48, 4 -> 48, 16 -> 48, 17 -> 54, 64 -> 192, 1000 -> 3000)
+    for ((k, want) <- cells) assert(cfg.cellsFor(k) == want, s"k=$k")
+  }
+
+  test("zero vector is Empty, also after inserts are deleted") {
+    val s = sketch(1000, seed = 1, k = 4)
+    assert(s.sample() == KSample.Empty)
+    (0L until 100L).foreach(x => s.update(x * 7, 1))
+    (0L until 100L).foreach(x => s.update(x * 7, -1))
+    assert(s.sample() == KSample.Empty)
+  }
+
+  test("an undersized sketch fails, never answers Empty") {
+    for (seed <- 1 to 20) {
+      val s = new KSampler(1L << 20, seed, k = 64, cells = 6)
+      support(new Random(seed), 1000, 1L << 20).foreach(x => s.update(x, 1))
+      assert(s.sample() == KSample.Failed, s"seed=$seed")
+    }
+  }
+
+  // A sketch fails with small probability (its δ: about 1e-3 per query at
+  // k = 64), so one failure in 30 is allowed; a wrong answer is not.
+  for (k <- Seq(1, 4, 64)) test(s"a support of at most k coordinates is recovered exactly (k=$k)") {
+    val failed = (1 to 30).count { seed =>
+      val rng = new Random(1000L * k + seed)
+      val xs = support(rng, 1 + rng.nextInt(k), 1L << 30)
+      val s = sketch(1L << 30, rng.nextLong(), k)
+      xs.foreach(x => s.update(x, 1))
+      val got = s.sample()
+      assert(got == KSample.Failed || got == KSample.Drawn(bottomK(s, xs)), s"seed=$seed")
+      assert(bottomK(s, xs).size == xs.size)
+      got == KSample.Failed
+    }
+    assert(failed <= 1, s"$failed/30 sketches failed")
+  }
+
+  for (k <- Seq(4, 64, 512)) test(s"the sample is the bottom-k by u-hash of a 10k support (k=$k)") {
+    for (seed <- 1 to 10) {
+      val rng = new Random(77L * k + seed)
+      val xs = support(rng, 10000, 1L << 40)
+      val s = sketch(1L << 40, rng.nextLong(), k)
+      xs.foreach(x => s.update(x, 1))
+      assert(s.sample() == KSample.Drawn(bottomK(s, xs)), s"seed=$seed")
+    }
+  }
+
+  test("k = 1 draws what L0Sampler draws with the same domain and seed") {
+    var compared = 0
+    for (seed <- 1 to 200) {
+      val rng = new Random(seed * 7L)
+      val xs = support(rng, 1 + rng.nextInt(100), 1L << 30)
+      val one = new L0Sampler(1L << 30, seed = 900L + seed)
+      val s = sketch(1L << 30, seed = 900L + seed, k = 1)
+      xs.foreach { x => one.update(x, 1); s.update(x, 1) }
+      one.sample().foreach { x =>
+        assert(s.sample() == KSample.Drawn(Vector(x)), s"seed=$seed")
+        compared += 1
+      }
+    }
+    assert(compared >= 170, s"L0Sampler decoded only $compared/200")
+  }
+
+  private def randomUpdates(rng: Random, n: Int, domain: Long): Vector[(Long, Long)] =
+    Vector.fill(n)((rng.nextLong(domain), if (rng.nextBoolean()) 1L else -1L))
+
+  test("linearity: the merge of two halves equals the whole") {
+    for (trial <- 1 to 30) {
+      val rng = new Random(trial * 13L)
+      val seed = rng.nextLong(); val k = 1 + rng.nextInt(32)
+      val updates = randomUpdates(rng, rng.nextInt(400), 10000)
+      val whole = sketch(10000, seed, k)
+      val left  = sketch(10000, seed, k)
+      val right = sketch(10000, seed, k)
+      updates.zipWithIndex.foreach { case ((x, d), i) =>
+        whole.update(x, d)
+        (if (i % 2 == 0) left else right).update(x, d)
+      }
+      left.merge(right)
+      assert(left.snapshot == whole.snapshot)
+      assert(left.sample() == whole.sample())
+    }
+  }
+
+  test("linearity: any update order gives the same state") {
+    for (trial <- 1 to 30) {
+      val rng = new Random(trial * 29L)
+      val updates = randomUpdates(rng, 200, 1000)
+      val states = Seq(updates, updates.reverse, rng.shuffle(updates)).map { us =>
+        val s = sketch(1000, seed = 77, k = 8)
+        us.foreach { case (x, d) => s.update(x, d) }
+        s
+      }
+      assert(states.map(_.snapshot).distinct.size == 1)
+      assert(states.map(_.sample()).distinct.size == 1)
+    }
+  }
+
+  test("deletes that arrive before their inserts leave the surviving support") {
+    for (trial <- 1 to 30) {
+      val rng = new Random(trial * 31L)
+      val survivors = support(rng, 1 + rng.nextInt(20), 100000)
+      val chaff = support(rng, 200, 100000).filterNot(survivors.toSet)
+      val s = sketch(100000, seed = trial, k = 32)
+      chaff.foreach(x => s.update(x, -1)) // deletes first
+      survivors.foreach(x => s.update(x, 1))
+      chaff.foreach(x => s.update(x, 1))
+      val direct = sketch(100000, seed = trial, k = 32)
+      survivors.foreach(x => direct.update(x, 1))
+      assert(s.snapshot == direct.snapshot)
+      assert(s.sample() == KSample.Drawn(bottomK(s, survivors)))
+    }
+  }
+
+  test("merge rejects differently built sketches") {
+    val a = sketch(100, seed = 1, k = 4)
+    intercept[IllegalArgumentException](a.merge(sketch(100, seed = 2, k = 4)))
+    intercept[IllegalArgumentException](a.merge(sketch(200, seed = 1, k = 4)))
+    intercept[IllegalArgumentException](a.merge(new KSampler(100, 1, 4, cells = 96)))
+    intercept[IllegalArgumentException](a.merge(new KSampler(100, 1, 5, cfg.cellsFor(4))))
+  }
+
+  test("update rejects out-of-domain coordinates") {
+    val s = sketch(10, seed = 1, k = 2)
+    intercept[IllegalArgumentException](s.update(10, 1))
+    intercept[IllegalArgumentException](s.update(-1, 1))
+  }
+
+  test("words grow only with touched levels (lazy allocation)") {
+    val s = sketch(1L << 40, seed = 5, k = 4)
+    assert(s.words == 0)
+    s.update(7, 1)
+    assert(s.words > 0 && s.words < s.levels.toLong * 3 * s.cells)
+  }
+
+  test("cell floor: k = 4 on a degree-64 support draws 4 samples in >= 98 of 100 seeds") {
+    val k = 4
+    val ok = (1 to 100).count { seed =>
+      val s = sketch(4096, seed = 5000L + seed, k)
+      support(new Random(seed), 64, 4096).foreach(x => s.update(x, 1))
+      s.sample() match {
+        case KSample.Drawn(xs) => xs.size == k
+        case _                 => false
+      }
+    }
+    assert(ok >= 98, s"only $ok/100 sketches drew $k samples")
+  }
+}

@@ -16,9 +16,10 @@ import repro.Hashing.splitmix64
   * non-empty decodable level, and returns the recovered coordinate with the
   * smallest u-hash — i.e. (w.h.p.) the min-hash of the support, which is a
   * uniform sample of the non-zero coordinates. All state is *linear* in the
-  * update stream, so two sampler states with equal seeds merge by addition
-  * (what a build that sketches the ops per partition would rely on;
-  * DESIGN.md §4 says why repro.spark.SparkL0 shards the samplers instead).
+  * update stream, so two sampler states with equal seeds merge by addition.
+  *
+  * Algorithm 3 runs on [[KSampler]]; this 1-sampler stays in the test
+  * sources as its k = 1 reference (`KSamplerSpec`).
   *
   * Level arrays are allocated lazily: a sampler that sees few survivors at
   * deep levels pays only for the levels it touches.

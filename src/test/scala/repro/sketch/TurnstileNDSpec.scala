@@ -143,6 +143,27 @@ class TurnstileNDSpec extends SparkSpec {
     assert(e2.getMessage.contains(s"n=$big") && e2.getMessage.contains("m=3"))
   }
 
+  for ((a, b) <- Seq((0L, 1L), (49L, 1L), (1L, 0L), (1L, 193L)))
+    test(s"process rejects an edge outside [1, n] × [1, m], naming id and bound (a=$a, b=$b)") {
+      val e = intercept[IllegalArgumentException](
+        new TurnstileND(shardCfg).process(StreamOp(repro.core.Edge(a, b), 1)))
+      if (a < 1 || a > 48) assert(e.getMessage.contains(s"a=$a") && e.getMessage.contains("n=48"))
+      else assert(e.getMessage.contains(s"b=$b") && e.getMessage.contains("m=192"))
+    }
+
+  test("decode failures are counted per bank and add up over the shards") {
+    // buckets = 1 leaves 32 cells per level for a degree-64 vertex (k = 64)
+    // and 8 for the 1,024 edges (k = 10): neither can peel.
+    val cfg = TurnstileConfig(16, 256, 64, 1, seed = 3, cv = 1.0, ce = 0.001, buckets = 1)
+    val ops = for (a <- 1L to 16L; b <- 1L to 64L) yield StreamOp(repro.core.Edge(a, 3 * b), 1)
+    val whole = new TurnstileND(cfg).processAll(ops).result()
+    assert(whole.vertexDecodeFailures > 0 && whole.edgeDecodeFailures == 1)
+    val shards = (0 until 3).map(p => new TurnstileND(cfg, p, 3).processAll(ops).samples).reduce(_ ++ _)
+    assert(cfg.assemble(shards) == whole)
+    val none = new TurnstileND(cfg).processAll(ops ++ ops.map(op => StreamOp(op.edge, -1))).result()
+    assert(none.vertexDecodeFailures == 0 && none.edgeDecodeFailures == 0 && none.output.isEmpty)
+  }
+
   test("StreamOp rejects invalid deltas") {
     intercept[IllegalArgumentException](StreamOp(repro.core.Edge(1, 1), 0))
     intercept[IllegalArgumentException](StreamOp(repro.core.Edge(1, 1), 2))

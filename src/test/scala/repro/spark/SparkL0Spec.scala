@@ -48,6 +48,17 @@ class SparkL0Spec extends SparkSpec {
     assert(adj(planted).size == d)
   }
 
+  for ((a, b) <- Seq((0L, 1L), (33L, 1L), (1L, 0L), (1L, 129L)))
+    test(s"rejects an edge outside [1, n] × [1, m] before any job (a=$a, b=$b)") {
+      val n = 32L; val m = 128L
+      val ops = instance(n, m, 8, 0.2, seed = 70) :+ StreamOp(repro.core.Edge(a, b), 1)
+      val cfg = TurnstileConfig(n, m, 8, 2, seed = 71, cv = 1.0, ce = 0.3, buckets = 6)
+      var e: IllegalArgumentException = null
+      assert(jobsOf { e = intercept[IllegalArgumentException](SparkL0.run(spark, ops, cfg)) } == 0)
+      if (a < 1 || a > n) assert(e.getMessage.contains(s"a=$a") && e.getMessage.contains(s"n=$n"))
+      else assert(e.getMessage.contains(s"b=$b") && e.getMessage.contains(s"m=$m"))
+    }
+
   test("partitioning is irrelevant: different shuffle of ops, same result") {
     val n = 32L; val m = 128L; val d = 8
     val ops = instance(n, m, d, 0.2, seed = 55)
