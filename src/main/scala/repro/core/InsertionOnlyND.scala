@@ -62,6 +62,24 @@ object InsertionOnlyND {
       .minByOption(Hashing.priority(seed, -1, _))
       .flatMap(outcomes(_))
 
+  /** The c runs of Deg-Res-Sampling fed `edges` in order, sharing one
+    * degree table; run i has threshold [[threshold]](i, d, c). The Spark
+    * build calls it on each vertex partition.
+    */
+  def feed(edges: IterableOnce[Edge], d: Int, c: Int, s: Int,
+           seed: Long): (DegreeTracker, Vector[DegResSampling]) = {
+    val degrees = new DegreeTracker
+    val runs = Vector.tabulate(c)(i => new DegResSampling(threshold(i, d, c), targetSize(d, c), s, seed, i))
+    val it = edges.iterator
+    while (it.hasNext) {
+      val e = it.next()
+      val nd = degrees.bump(e.a)
+      var i = 0
+      while (i < c) { runs(i).process(e, nd); i += 1 }
+    }
+    (degrees, runs)
+  }
+
   /** Process the whole insertion-only edge stream.
     *
     * @param edges stream of edge insertions (must describe a simple graph)
@@ -73,17 +91,8 @@ object InsertionOnlyND {
     */
   def run(edges: IterableOnce[Edge], n: Long, d: Int, c: Int, seed: Long,
           sOverride: Option[Int] = None): InsertionOnlyResult = {
-    val s  = checkedReservoirSize(n, d, c, sOverride)
-    val d2 = targetSize(d, c)
-    val degrees = new DegreeTracker
-    val runs = Vector.tabulate(c)(i => new DegResSampling(threshold(i, d, c), d2, s, seed, i))
-    val it = edges.iterator
-    while (it.hasNext) {
-      val e = it.next()
-      val nd = degrees.bump(e.a)
-      var i = 0
-      while (i < c) { runs(i).process(e, nd); i += 1 }
-    }
+    val s = checkedReservoirSize(n, d, c, sOverride)
+    val (degrees, runs) = feed(edges, d, c, s, seed)
     InsertionOnlyResult(
       output        = pick(runs.map(_.result()), seed),
       runSucceeded  = runs.map(_.succeeded),

@@ -1,107 +1,81 @@
 package repro.spark
 
+import org.apache.spark.Partitioner
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 
 import repro.Hashing
-import repro.core.{InsertionOnlyND, Neighborhood}
+import repro.core.{Edge, InsertionOnlyND, InsertionOnlyResult, Neighborhood}
 
-/** Outcome of the DataFrame build of Algorithm 2 (mirrors
-  * [[repro.core.InsertionOnlyResult]] minus word-level accounting, which is
-  * meaningful only for the sequential build).
-  */
-final case class SparkDegResResult(
-    output: Option[Neighborhood],
-    runSucceeded: Vector[Boolean],
-    reservoirSize: Int,
-)
-
-/** Algorithm 2 as a pure DataFrame (Catalyst) pipeline — DESIGN.md §4.
+/** Algorithm 2 on vertex partitions — DESIGN.md §4, S7.
   *
   * Input: an edge stream as rows (pos, a, b) where `pos` is the stream
-  * position. The sequential algorithm's reservoir maintains a uniform
-  * s-sample of the vertices whose degree reached d1; here that sample is
-  * drawn equivalently by ranking each vertex's edges by `pos` (window),
-  * filtering vertices with deg ≥ d1, and keeping the s least
-  * (priority, a) with the sequential build's [[Hashing.priority]] — the
-  * same set its reservoir ends with. The "next d/c edges after crossing
-  * d1" are exactly the edges with per-vertex rank in [d1, d1 + d/c), so
-  * run i succeeds iff its sample contains a vertex of degree
-  * ≥ d1 + d/c - 1, its neighborhood is the one of least priority among
-  * those, and the winning run is [[InsertionOnlyND.pick]]'s: the result
-  * equals [[InsertionOnlyND.run]]'s for the same seed.
-  *
-  * All c runs share one plan: the degree table is expanded into one row
-  * per (vertex, run) and each run's winner is taken by a window over the
-  * run, so a call issues two collects (winners, then their neighbors)
-  * whatever c is.
+  * position. One shuffle sends each vertex's edges to one partition,
+  * sorted by `pos` there, and each partition runs the sequential build's
+  * c samplers ([[InsertionOnlyND.feed]]) over its rows. Run i's reservoir
+  * is a bottom-s sample by [[Hashing.priority]], and bottom-s samples merge
+  * by union (Cohen–Kaplan bottom-k sketches; Agarwal et al., *Mergeable
+  * Summaries*, PODS 2012): the s least (priority, a) over the partitions'
+  * reservoirs are the sequential reservoir's final set. A vertex in that
+  * set has been held since it crossed d1, and its buffer depends only on
+  * its own edges, so its neighborhood is the sequential one too. Each run
+  * keeps its full neighborhood of least priority, and the winning run is
+  * [[InsertionOnlyND.pick]]'s: the result equals [[InsertionOnlyND.run]]'s
+  * for the same seed, in one Spark job whatever c is.
   */
 object SparkDegRes {
 
-  /** Edges with their per-vertex arrival rank (1-based, by stream pos). */
-  def ranked(edges: DataFrame): DataFrame =
-    edges.withColumn("rank",
-      row_number().over(Window.partitionBy("a").orderBy("pos")).cast("long"))
+  /** Run i's stored neighborhoods and peak words on one vertex partition,
+    * and the words of its degree table.
+    */
+  private final case class Shard(stored: Vector[Vector[Neighborhood]], peakWords: Vector[Long],
+                                 degreeWords: Long)
 
-  /** Exact per-vertex degrees — oracle-checked against DuckDB in tests. */
-  def degrees(edges: DataFrame): DataFrame =
-    edges.groupBy("a").agg(count(lit(1)) as "deg")
+  /** Partitions `(a, pos)` keys by `a` alone, so a vertex's edges meet. */
+  private final class VertexPartitioner(val numPartitions: Int) extends Partitioner {
+    def getPartition(key: Any): Int = key match {
+      case (a: Long, _) => Math.floorMod(java.lang.Long.hashCode(a), numPartitions)
+    }
+  }
 
   /** Run the full c-approximation algorithm.
     *
-    * @param edges DataFrame (pos, a, b) — a simple bipartite edge stream
+    * @param edges DataFrame (pos, a, b) — a simple bipartite edge stream,
+    *              its rows in any order
     * @param n     |A|
     * @param d     degree threshold >= 1 (promise: some vertex has deg >= d)
     * @param c     integral approximation factor >= 2
     * @param seed  priority seed, as in [[InsertionOnlyND.run]]
     * @param sOverride reservoir size >= 1 in place of Theorem 3.2's
+    * @return [[InsertionOnlyND.run]]'s result, except that run i's peak
+    *         words are its largest partition's
     */
   def run(edges: DataFrame, n: Long, d: Int, c: Int, seed: Long,
-          sOverride: Option[Int] = None): SparkDegResResult = {
+          sOverride: Option[Int] = None): InsertionOnlyResult = {
     val s  = InsertionOnlyND.checkedReservoirSize(n, d, c, sOverride)
     val d2 = InsertionOnlyND.targetSize(d, c)
-    val d1 = Vector.tabulate(c)(InsertionOnlyND.threshold(_, d, c))
-
-    // A typed UDF, not Column arithmetic: SplitMix64 overflows on purpose,
-    // and ANSI mode throws on overflow.
-    val prio = udf((run: Int, a: Long) => Hashing.priority(seed, run, a))
-    val runs = array(d1.zipWithIndex.map { case (t, i) =>
-      struct(lit(i) as "run", lit(t) as "d1") }: _*)
-    // Per run: a uniform s-sample of {a : deg(a) >= d1} via hash priority.
-    // A sampled vertex yields a full neighborhood iff it still has d2 edges
-    // from rank d1 onwards, i.e. deg >= d1 + d2 - 1; the winner is the
-    // sampled one of least priority.
-    val winners = degrees(edges)
-      .select(col("a"), col("deg"), explode(runs) as "r")
-      .select(col("a"), col("deg"), col("r.run") as "run", col("r.d1") as "d1")
-      .filter(col("deg") >= col("d1"))
-      .withColumn("prio", prio(col("run"), col("a")))
-      .withColumn("k", row_number().over(Window.partitionBy("run").orderBy("prio", "a")))
-      .filter(col("k") <= s && col("deg") >= col("d1").cast("long") + (d2 - 1L))
-      .groupBy("run")
-      .agg(min(struct("prio", "a")) as "w")
-      .select(col("run"), col("w.a"))
-      .collect()
-      .map(r => r.getInt(0) -> r.getLong(1))
-      .toMap
-
-    // Ranks up to the largest window end of any winner; each run keeps the
-    // ranks [d1, d1 + d2) of its own winner (one vertex may win several
-    // runs with different d1).
-    val neighbor: Map[(Long, Long), Long] =
-      if (winners.isEmpty) Map.empty
-      else ranked(edges.filter(col("a").isin(winners.values.toSeq.distinct: _*)))
-        .filter(col("rank") <= winners.keys.map(d1(_)).max.toLong + d2 - 1)
-        .select("a", "rank", "b")
-        .collect()
-        .map(r => (r.getLong(0), r.getLong(1)) -> r.getLong(2))
-        .toMap
-    val outcome: Vector[Option[Neighborhood]] = Vector.tabulate(c) { i =>
-      winners.get(i).map { a =>
-        Neighborhood(a, Vector.tabulate(d2)(j => neighbor((a, d1(i).toLong + j))))
+    val parts = StreamingWitness.corePartitions(edges.sparkSession)
+    val shards = edges
+      .select(col("a").cast("long"), col("pos").cast("long"), col("b").cast("long"))
+      .rdd.map(r => ((r.getLong(0), r.getLong(1)), r.getLong(2)))
+      .repartitionAndSortWithinPartitions(new VertexPartitioner(parts))
+      .mapPartitions { rows =>
+        val (degrees, runs) = InsertionOnlyND.feed(rows.map { case ((a, _), b) => Edge(a, b) }, d, c, s, seed)
+        Iterator.single(Shard(runs.map(_.storedNeighborhoods), runs.map(_.peakWords), degrees.words))
       }
+      .collect()
+    val outcome: Vector[Option[Neighborhood]] = Vector.tabulate(c) { i =>
+      shards.toVector.flatMap(_.stored(i))
+        .sortBy(nb => (Hashing.priority(seed, i, nb.a), nb.a))
+        .take(s)
+        .find(_.size >= d2)
     }
-    SparkDegResResult(InsertionOnlyND.pick(outcome, seed), outcome.map(_.nonEmpty), s)
+    InsertionOnlyResult(
+      output        = InsertionOnlyND.pick(outcome, seed),
+      runSucceeded  = outcome.map(_.nonEmpty),
+      reservoirSize = s,
+      runPeakWords  = Vector.tabulate(c)(i => shards.map(_.peakWords(i)).max),
+      degreeWords   = shards.map(_.degreeWords).sum,
+    )
   }
 }

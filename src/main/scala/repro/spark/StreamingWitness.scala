@@ -106,6 +106,13 @@ object StreamingWitness {
     (InsertionOnlyND.pick(outcome, cfg.seed), outcome.map(_.nonEmpty))
   }
 
+  /** min(session shuffle partitions, default parallelism): the partition
+    * count of the streaming state and of `SparkDegRes`'s shuffle, since
+    * partitions beyond the core count only add per-partition work.
+    */
+  private[spark] def corePartitions(spark: SparkSession): Int =
+    math.min(spark.conf.get(SQLConf.SHUFFLE_PARTITIONS.key).toInt, spark.sparkContext.defaultParallelism)
+
   /** Runs the stateful query over an in-memory stream and returns the
     * latest candidate row per item: `records` are fed through a MemoryStream
     * in `nBatches` chunks, each processed before the next is added.
@@ -137,7 +144,7 @@ object StreamingWitness {
       }
     val key = SQLConf.SHUFFLE_PARTITIONS.key
     val sessionPartitions = spark.conf.get(key)
-    spark.conf.set(key, math.min(sessionPartitions.toInt, spark.sparkContext.defaultParallelism).toLong)
+    spark.conf.set(key, corePartitions(spark).toLong)
     val query = try writer.start() finally spark.conf.set(key, sessionPartitions)
     try {
       val events = records.zipWithIndex.map { case (r, i) =>

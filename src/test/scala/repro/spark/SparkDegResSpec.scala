@@ -1,15 +1,15 @@
 package repro.spark
 
-import repro.{Oracle, SparkSpec, SynthGraphs}
-import repro.core.{Edge, InsertionOnlyND, Neighborhood}
+import repro.{SparkSpec, SynthGraphs}
+import repro.core.{Edge, InsertionOnlyND, InsertionOnlyResult, Neighborhood}
 
-/** Tests for the DataFrame (Catalyst) build of Algorithm 2: intermediate
-  * tables oracle-checked against DuckDB, outputs validated against ground
-  * truth, exact equality with the per-run reference — the sequential build
-  * [[InsertionOnlyND.run]], one reservoir per threshold run — and a job
-  * count that does not grow with c.
+/** Tests for the vertex-partitioned build of Algorithm 2: outputs
+  * validated against ground truth, exact equality with the sequential
+  * build [[InsertionOnlyND.run]] on the same edges, in any row order, and
+  * one Spark job per call whatever c is.
   */
 class SparkDegResSpec extends SparkSpec {
+  import SparkDegResSpec.assertMatches
 
   private def df(edges: Seq[Edge]) = SynthGraphs.edgesDf(spark, edges)
 
@@ -19,16 +19,15 @@ class SparkDegResSpec extends SparkSpec {
     ("zipfDegrees", s => SynthGraphs.zipfDegrees(96, 4 * 96, 24, 1.0, 1, s)._1),
   )
 
-  /** Requires the one-plan build to return the sequential build's result
-    * on the same edges; returns it.
+  /** Requires the Spark build to return the sequential build's result on
+    * the same edges; returns the sequential result.
     */
   private def assertParity(edges: Seq[Edge], c: Int, seed: Long,
-                           sOverride: Option[Int]): SparkDegResResult = {
+                           sOverride: Option[Int]): InsertionOnlyResult = {
     val seq = InsertionOnlyND.run(edges, 96, 24, c, seed, sOverride)
-    val want = SparkDegResResult(seq.output, seq.runSucceeded, seq.reservoirSize)
-    assert(SparkDegRes.run(df(edges), 96, 24, c, seed, sOverride) == want,
+    assertMatches(SparkDegRes.run(df(edges), 96, 24, c, seed, sOverride), seq, 24, c,
       s"c=$c seed=$seed sOverride=$sOverride")
-    want
+    seq
   }
 
   for ((family, mk) <- families; c <- Seq(2, 3, 4))
@@ -44,38 +43,6 @@ class SparkDegResSpec extends SparkSpec {
     // ... and with every degree below d/c, every run fails at any s.
     val low = Seq.tabulate(200)(i => Edge(i / 4 + 1L, i + 1L))
     assert(assertParity(low, 4, 1L, None).runSucceeded == Vector.fill(4)(false))
-  }
-
-  test("degrees match DuckDB on a planted-star instance") {
-    val (edges, _) = SynthGraphs.plantedStar(n = 64, m = 256, d = 16, maxBg = 4, seed = 1)
-    val e = df(edges).cache()
-    try {
-      Oracle.assertEquivalent(
-        SparkDegRes.degrees(e),
-        "SELECT a, count(*) AS deg FROM edges GROUP BY a",
-        "edges" -> e)
-    } finally e.unpersist()
-  }
-
-  test("per-vertex ranks match DuckDB row_number over stream position") {
-    val (edges, _) = SynthGraphs.plantedStar(n = 32, m = 128, d = 8, maxBg = 3, seed = 2)
-    val e = df(edges).cache()
-    try {
-      Oracle.assertEquivalent(
-        SparkDegRes.ranked(e).select("pos", "a", "b", "rank"),
-        "SELECT pos, a, b, row_number() OVER (PARTITION BY a ORDER BY CAST(pos AS BIGINT)) AS rank " +
-          "FROM edges",
-        "edges" -> e)
-    } finally e.unpersist()
-  }
-
-  test("rank ordering follows stream position exactly (hand instance)") {
-    val edges = Seq(Edge(1, 10), Edge(2, 20), Edge(1, 11), Edge(1, 12), Edge(2, 21))
-    val got = SparkDegRes.ranked(df(edges))
-      .orderBy("a", "rank").select("a", "b", "rank")
-      .collect().map(r => (r.getLong(0), r.getLong(1), r.getLong(2))).toSeq
-    assert(got == Seq((1L, 10L, 1L), (1L, 11L, 2L), (1L, 12L, 3L),
-                      (2L, 20L, 1L), (2L, 21L, 2L)))
   }
 
   for {
@@ -135,8 +102,7 @@ class SparkDegResSpec extends SparkSpec {
       val (edges, _) = SynthGraphs.plantedStar(n, 4 * n, d, 4, seed = 100L + t)
       val seq = InsertionOnlyND.run(edges, n, d, c, seed = t)
       assert(seq.succeeded)
-      assert(SparkDegRes.run(df(edges), n, d, c, seed = t) ==
-        SparkDegResResult(seq.output, seq.runSucceeded, seq.reservoirSize))
+      assertMatches(SparkDegRes.run(df(edges), n, d, c, seed = t), seq, d, c, s"trial $t")
     }
   }
 
@@ -165,9 +131,29 @@ class SparkDegResSpec extends SparkSpec {
     val counts = Seq(2, 4).map { c =>
       jobsOf { outputs :+= SparkDegRes.run(e, 96, 24, c, seed = 41).output }
     }
-    // Both calls find a winner, so both run the neighbor query too.
     assert(outputs.forall(_.nonEmpty))
-    assert(counts(0) == counts(1), s"jobs at c = 2 and c = 4: $counts")
+    assert(counts == Seq(1, 1), s"jobs at c = 2 and c = 4: $counts")
+  }
+
+  test("rows out of stream order give the pos-ordered stream's result") {
+    val (_, mk) = families(0)
+    val edges = mk(9L)
+    val rows = edges.zipWithIndex.map { case (e, i) => (i.toLong, e.a, e.b) }
+    import spark.implicits._
+    for {
+      (order, shuffled) <- Seq("reversed" -> rows.reverse,
+                               "shuffled" -> new scala.util.Random(9L).shuffle(rows))
+      c <- Seq(2, 3)
+    } assertMatches(SparkDegRes.run(shuffled.toDF("pos", "a", "b"), 96, 24, c, seed = 9L),
+      InsertionOnlyND.run(edges, 96, 24, c, seed = 9L), 24, c, s"$order c=$c")
+  }
+
+  test("empty input: no output and every run fails, as in the sequential build") {
+    for (c <- Seq(2, 4)) {
+      val got = SparkDegRes.run(df(Seq.empty), 96, 24, c, seed = 1L)
+      assert(got == InsertionOnlyND.run(Seq.empty, 96, 24, c, seed = 1L), s"c=$c")
+      assert(got.output.isEmpty && got.runSucceeded == Vector.fill(c)(false))
+    }
   }
 
   test("priority sample size never exceeds s (reservoir-size parity)") {
@@ -181,5 +167,26 @@ class SparkDegResSpec extends SparkSpec {
     res.output.foreach { nb =>
       assert(Neighborhood.isValid(nb, SynthGraphs.adjacency(edges)))
     }
+  }
+}
+
+object SparkDegResSpec {
+  import org.scalatest.Assertions._
+
+  /** Requires the Spark build's result `got` to equal the sequential
+    * build's `want` on the same edges in output, run flags, reservoir size
+    * and degree words (vertices are disjoint across partitions, so the
+    * partitions' degree words add up to the sequential count), and each
+    * run's peak words to stay within one run's bound s·(1 + ⌊d/c⌋).
+    */
+  def assertMatches(got: InsertionOnlyResult, want: InsertionOnlyResult, d: Int, c: Int,
+                    clue: String): Unit = {
+    assert(got.output == want.output, clue)
+    assert(got.runSucceeded == want.runSucceeded, clue)
+    assert(got.reservoirSize == want.reservoirSize, clue)
+    assert(got.degreeWords == want.degreeWords, clue)
+    val bound = got.reservoirSize.toLong * (1 + InsertionOnlyND.targetSize(d, c))
+    assert(got.runPeakWords.size == c && got.runPeakWords.forall(_ <= bound),
+      s"$clue: run peak words ${got.runPeakWords} above $bound")
   }
 }

@@ -41,8 +41,8 @@ class StreamOrderSpec extends SparkSpec {
         val seq = InsertionOnlyND.run(stream, n, d, c, seed)
         val nb = seq.output.getOrElse(fail(s"$clue: no output"))
         assert(nb.size == InsertionOnlyND.targetSize(d, c) && Neighborhood.isValid(nb, adj), clue)
-        assert(SparkDegRes.run(SynthGraphs.edgesDf(spark, stream), n, d, c, seed) ==
-          SparkDegResResult(seq.output, seq.runSucceeded, seq.reservoirSize), clue)
+        SparkDegResSpec.assertMatches(
+          SparkDegRes.run(SynthGraphs.edgesDf(spark, stream), n, d, c, seed), seq, d, c, clue)
         val (report, succ, _) = StreamingWitness.runMicroBatched(spark,
           stream.map(e => WitnessRecord(e.a, e.b)), 3, StreamingWitness.Config(n, d, c, seed))
         assert(report.contains(FrequentItemReport(nb.a, nb.neighbors)), clue)
