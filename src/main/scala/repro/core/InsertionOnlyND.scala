@@ -62,23 +62,34 @@ object InsertionOnlyND {
       .minByOption(Hashing.priority(seed, -1, _))
       .flatMap(outcomes(_))
 
-  /** The c runs of Deg-Res-Sampling fed `edges` in order, sharing one
-    * degree table; run i has threshold [[threshold]](i, d, c). The Spark
-    * build calls it on each vertex partition.
+  /** Algorithm 2's c runs of Deg-Res-Sampling; run i has threshold
+    * [[threshold]](i, d, c).
     */
-  def feed(edges: IterableOnce[Edge], d: Int, c: Int, s: Int,
-           seed: Long): (DegreeTracker, Vector[DegResSampling]) = {
+  def runs(d: Int, c: Int, s: Int, seed: Long): Vector[DegResSampling] =
+    Vector.tabulate(c)(i => new DegResSampling(threshold(i, d, c), targetSize(d, c), s, seed, i))
+
+  /** Feed `edges` in order to every run, sharing one degree table, and
+    * return that table. The Spark build calls it on each vertex partition.
+    */
+  def feed(edges: IterableOnce[Edge], runs: Vector[DegResSampling]): DegreeTracker = {
     val degrees = new DegreeTracker
-    val runs = Vector.tabulate(c)(i => new DegResSampling(threshold(i, d, c), targetSize(d, c), s, seed, i))
+    val r = runs.length
     val it = edges.iterator
     while (it.hasNext) {
       val e = it.next()
       val nd = degrees.bump(e.a)
       var i = 0
-      while (i < c) { runs(i).process(e, nd); i += 1 }
+      while (i < r) { runs(i).process(e, nd); i += 1 }
     }
-    (degrees, runs)
+    degrees
   }
+
+  /** Every build's report rule for one run: of the `stored` neighborhoods,
+    * the s of least ([[Hashing.priority]](seed, run, a), a) are the run's
+    * reservoir, and the first of them with d2 neighbors is its outcome.
+    */
+  def bottomS(run: Int, stored: Seq[Neighborhood], s: Int, d2: Int, seed: Long): Option[Neighborhood] =
+    stored.sortBy(nb => (Hashing.priority(seed, run, nb.a), nb.a)).take(s).find(_.size >= d2)
 
   /** Process the whole insertion-only edge stream.
     *
@@ -92,12 +103,13 @@ object InsertionOnlyND {
   def run(edges: IterableOnce[Edge], n: Long, d: Int, c: Int, seed: Long,
           sOverride: Option[Int] = None): InsertionOnlyResult = {
     val s = checkedReservoirSize(n, d, c, sOverride)
-    val (degrees, runs) = feed(edges, d, c, s, seed)
+    val rs = runs(d, c, s, seed)
+    val degrees = feed(edges, rs)
     InsertionOnlyResult(
-      output        = pick(runs.map(_.result()), seed),
-      runSucceeded  = runs.map(_.succeeded),
+      output        = pick(rs.map(_.result()), seed),
+      runSucceeded  = rs.map(_.succeeded),
       reservoirSize = s,
-      runPeakWords  = runs.map(_.peakWords),
+      runPeakWords  = rs.map(_.peakWords),
       degreeWords   = degrees.words,
     )
   }

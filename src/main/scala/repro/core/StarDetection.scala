@@ -53,7 +53,6 @@ object StarDetection {
     // c runs per guess, all fed the doubled stream; every guess sees the
     // same degrees, so one degree table serves them all. Run i of guess g
     // samples with its own run index g * c + i.
-    val degrees = new DegreeTracker
     val runsPerGuess = guesses.zipWithIndex.map { case (dGuess, g) =>
       Vector.tabulate(c) { i =>
         new DegResSampling(
@@ -62,20 +61,8 @@ object StarDetection {
           s, seed, g * c + i)
       }
     }
-    val it = undirected.iterator
-    while (it.hasNext) {
-      val (u, v) = it.next()
-      for (e <- List(Edge(u, v), Edge(v, u))) {
-        val nd = degrees.bump(e.a)
-        var g = 0
-        while (g < guesses.size) {
-          val runs = runsPerGuess(g)
-          var i = 0
-          while (i < runs.size) { runs(i).process(e, nd); i += 1 }
-          g += 1
-        }
-      }
-    }
+    val doubled = undirected.iterator.flatMap { case (u, v) => Iterator(Edge(u, v), Edge(v, u)) }
+    val degrees = InsertionOnlyND.feed(doubled, runsPerGuess.flatten)
     val perGuessBest = runsPerGuess.map { runs =>
       runs.flatMap(_.result()).sortBy(-_.size).headOption
     }

@@ -23,27 +23,29 @@ object KSample {
   *
   * Structure: L = O(log D) nested levels; coordinate x belongs to level l
   * iff the top l bits of a uniform hash u(x) are zero, so level l holds the
-  * coordinates of least u-hash, a prefix of the support in u order. Each
-  * level is an invertible Bloom lookup table (IBLT) of `cells` cells; x
-  * goes to 3 of them, one in each third of the table, at the same
-  * positions on every level. A cell holds (Σc, Σc·x, Σc·f(x)) in wrapping
-  * 64-bit arithmetic.
+  * coordinates of least u-hash, a prefix of the support in u order. The
+  * sketch stores rings, not levels: ring l holds the coordinates whose
+  * deepest level is l, and level l is the sum of rings ≥ l. Each ring is
+  * an invertible Bloom lookup table (IBLT) of `cells` cells; x goes to 3
+  * of them, one in each third of the table, at the same positions in every
+  * ring. A cell holds (Σc, Σc·x, Σc·f(x)) in wrapping 64-bit arithmetic,
+  * so an update writes the 3 cells of one ring.
   *
-  * Query peels from the sparsest level down, one ring at a time: ring l,
-  * the coordinates whose deepest level is l, is level l's table minus
-  * level l+1's, so each ring peels on its own with about half the
-  * coordinates of its level. Once the rings peeled so far hold k
-  * coordinates they are a level that holds at least k, and its bottom-k by
-  * u-hash is the support's; if every ring peels, that is the whole
-  * support. The state is linear in the updates: equally built sketches
-  * merge by addition, and update order does not matter.
+  * Query peels from the sparsest ring down, each ring on its own, with
+  * about half the coordinates of its level. Once the rings peeled so far
+  * hold k coordinates they are a level that holds at least k, and its
+  * bottom-k by u-hash is the support's; if every ring peels, that is the
+  * whole support. The state is linear in the updates: equally built
+  * sketches merge by addition, and update order does not matter.
   *
-  * Level arrays are allocated lazily, when a coordinate first reaches them.
+  * Ring arrays are allocated lazily, when a coordinate first lands in
+  * them; [[words]] counts the levels up to the deepest allocated ring, as
+  * a sketch storing whole levels would allocate.
   *
   * @param domain number of coordinates D
   * @param seed   derives the u, cell and fingerprint hashes
   * @param k      coordinates to sample
-  * @param cells  IBLT cells per level
+  * @param cells  IBLT cells per ring
   */
 final class KSampler(val domain: Long, val seed: Long, val k: Int, val cells: Int) {
   require(domain >= 1 && k >= 1 && cells >= 3,
@@ -52,7 +54,7 @@ final class KSampler(val domain: Long, val seed: Long, val k: Int, val cells: In
   /** Levels 0..levels-1; level 0 holds everything. */
   val levels: Int = 64 - java.lang.Long.numberOfLeadingZeros(domain) + 2
 
-  // Packed (count, sum, fp) triples per level: 3 * cells longs, lazily allocated.
+  // Packed (count, sum, fp) triples per ring: 3 * cells longs, lazily allocated.
   private val state = new Array[Array[Long]](levels)
   private val third = cells / 3
 
@@ -61,7 +63,7 @@ final class KSampler(val domain: Long, val seed: Long, val k: Int, val cells: In
   @inline private[sketch] def uHash(x: Long): Long = splitmix64(seed ^ 0x51ed2701L ^ x)
   @inline private def fHash(x: Long): Long = splitmix64(seed ^ 0x7be03ca1L ^ x)
 
-  /** The cell of x in third j of every level's table. */
+  /** The cell of x in third j of every ring's table. */
   @inline private def cellOf(x: Long, j: Int): Int = {
     val h = splitmix64(seed ^ ((j + 1).toLong * 0xc2b2ae3d27d4eb4fL) ^ x)
     val size = if (j == 2) cells - 2 * third else third
@@ -77,19 +79,15 @@ final class KSampler(val domain: Long, val seed: Long, val k: Int, val cells: In
     arr(i) += c; arr(i + 1) += cx; arr(i + 2) += cf
   }
 
-  /** Apply update (x, delta) to the expected 2 levels x belongs to. */
+  /** Apply update (x, delta) to ring maxLevel(x). */
   def update(x: Long, delta: Long): Unit = {
     require(x >= 0 && x < domain, s"coordinate $x out of [0, $domain)")
-    val top = maxLevel(x)
+    val l = maxLevel(x)
+    var arr = state(l)
+    if (arr == null) { arr = new Array[Long](3 * cells); state(l) = arr }
     val cx = delta * x; val cf = delta * fHash(x)
-    val c0 = cellOf(x, 0); val c1 = cellOf(x, 1); val c2 = cellOf(x, 2)
-    var l = 0
-    while (l <= top) {
-      var arr = state(l)
-      if (arr == null) { arr = new Array[Long](3 * cells); state(l) = arr }
-      add(arr, c0, delta, cx, cf); add(arr, c1, delta, cx, cf); add(arr, c2, delta, cx, cf)
-      l += 1
-    }
+    add(arr, cellOf(x, 0), delta, cx, cf); add(arr, cellOf(x, 1), delta, cx, cf)
+    add(arr, cellOf(x, 2), delta, cx, cf)
   }
 
   /** The coordinate cell i of ring l holds alone, or -1 if it holds none
@@ -105,19 +103,13 @@ final class KSampler(val domain: Long, val seed: Long, val k: Int, val cells: In
     else x
   }
 
-  /** Peel ring l, the coordinates whose deepest level is l: level l's
-    * cells minus level l+1's. Some(its coordinates) if it peels to zero,
-    * else None.
+  /** Peel ring l, the coordinates whose deepest level is l, on a copy of
+    * its cells. Some(its coordinates) if it peels to zero, else None.
     */
   private def peelRing(l: Int): Option[Vector[Long]] = {
     val src = state(l)
     if (src == null) return Some(Vector.empty)
     val arr = src.clone()
-    if (l + 1 < levels && state(l + 1) != null) {
-      val deeper = state(l + 1)
-      var i = 0
-      while (i < arr.length) { arr(i) -= deeper(i); i += 1 }
-    }
     val out = Vector.newBuilder[Long]
     // Cells to examine: every cell once, then each cell a peel touched.
     var stack = Array.range(0, cells)
@@ -180,12 +172,12 @@ final class KSampler(val domain: Long, val seed: Long, val k: Int, val cells: In
     this
   }
 
-  /** Every level's cells, an unallocated level as zeros: equal for equal
+  /** Every ring's cells, an unallocated ring as zeros: equal for equal
     * linear states.
     */
   private[sketch] def snapshot: Vector[Vector[Long]] =
     state.iterator.map(a => if (a == null) Vector.fill(3 * cells)(0L) else a.toVector).toVector
 
-  /** Words held (allocated cell triples). */
-  def words: Long = state.count(_ != null).toLong * 3 * cells
+  /** Words of the dense levels 0 up to the deepest allocated ring. */
+  def words: Long = (state.lastIndexWhere(_ != null) + 1).toLong * 3 * cells
 }

@@ -46,7 +46,7 @@ final case class TurnstileResult(
   * [[KSampler]] of ⌊d/c⌋ samples over B; plus one [[KSampler]] of
   * ~ ce·(nd/c)(1/x + 1/c)·ln(nm) samples over A×B. The paper's constants
   * (10) are scaled by cv / ce (DESIGN.md §6). A sketch of k samples keeps
-  * `buckets`·max(8, ⌈k/2⌉) cells per level.
+  * `buckets`·max(8, ⌈k/2⌉) cells per ring.
   */
 final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
                                  cv: Double, ce: Double, buckets: Int) {
@@ -76,7 +76,7 @@ final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
   val nEdgeSamplers: Int = math.max(1, math.ceil(
     ce * (n.toDouble * d / c) * (1.0 / x + 1.0 / c) * math.log(n.toDouble * m + 1)).toInt)
 
-  /** IBLT cells per level of a sketch that draws k samples. */
+  /** IBLT cells per ring of a sketch that draws k samples. */
   def cellsFor(k: Int): Int = buckets * math.max(8, (k + 1) / 2)
 
   /** Seed of vertex a's sketch; the edge sketch's is `samplerSeed(0)`. */

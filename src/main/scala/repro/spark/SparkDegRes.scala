@@ -4,7 +4,6 @@ import org.apache.spark.Partitioner
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
-import repro.Hashing
 import repro.core.{Edge, InsertionOnlyND, InsertionOnlyResult, Neighborhood}
 
 /** Algorithm 2 on vertex partitions — DESIGN.md §4, S7.
@@ -13,13 +12,14 @@ import repro.core.{Edge, InsertionOnlyND, InsertionOnlyResult, Neighborhood}
   * position. One shuffle sends each vertex's edges to one partition,
   * sorted by `pos` there, and each partition runs the sequential build's
   * c samplers ([[InsertionOnlyND.feed]]) over its rows. Run i's reservoir
-  * is a bottom-s sample by [[Hashing.priority]], and bottom-s samples merge
-  * by union (Cohen–Kaplan bottom-k sketches; Agarwal et al., *Mergeable
-  * Summaries*, PODS 2012): the s least (priority, a) over the partitions'
+  * is a bottom-s sample by [[repro.Hashing.priority]], and bottom-s
+  * samples merge by union (Cohen–Kaplan bottom-k sketches; Agarwal et al.,
+  * *Mergeable Summaries*, PODS 2012): the s least (priority, a) over the partitions'
   * reservoirs are the sequential reservoir's final set. A vertex in that
   * set has been held since it crossed d1, and its buffer depends only on
   * its own edges, so its neighborhood is the sequential one too. Each run
-  * keeps its full neighborhood of least priority, and the winning run is
+  * keeps its full neighborhood of least priority
+  * ([[InsertionOnlyND.bottomS]]), and the winning run is
   * [[InsertionOnlyND.pick]]'s: the result equals [[InsertionOnlyND.run]]'s
   * for the same seed, in one Spark job whatever c is.
   */
@@ -60,16 +60,13 @@ object SparkDegRes {
       .rdd.map(r => ((r.getLong(0), r.getLong(1)), r.getLong(2)))
       .repartitionAndSortWithinPartitions(new VertexPartitioner(parts))
       .mapPartitions { rows =>
-        val (degrees, runs) = InsertionOnlyND.feed(rows.map { case ((a, _), b) => Edge(a, b) }, d, c, s, seed)
+        val runs = InsertionOnlyND.runs(d, c, s, seed)
+        val degrees = InsertionOnlyND.feed(rows.map { case ((a, _), b) => Edge(a, b) }, runs)
         Iterator.single(Shard(runs.map(_.storedNeighborhoods), runs.map(_.peakWords), degrees.words))
       }
-      .collect()
-    val outcome: Vector[Option[Neighborhood]] = Vector.tabulate(c) { i =>
-      shards.toVector.flatMap(_.stored(i))
-        .sortBy(nb => (Hashing.priority(seed, i, nb.a), nb.a))
-        .take(s)
-        .find(_.size >= d2)
-    }
+      .collect().toVector
+    val outcome = Vector.tabulate(c)(i =>
+      InsertionOnlyND.bottomS(i, shards.flatMap(_.stored(i)), s, d2, seed))
     InsertionOnlyResult(
       output        = InsertionOnlyND.pick(outcome, seed),
       runSucceeded  = outcome.map(_.nonEmpty),

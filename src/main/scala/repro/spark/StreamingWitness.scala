@@ -7,7 +7,7 @@ import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode
 import scala.collection.concurrent.TrieMap
 
 import repro.Hashing.priority
-import repro.core.{FrequentItemReport, InsertionOnlyND, WitnessRecord}
+import repro.core.{FrequentItemReport, InsertionOnlyND, Neighborhood, WitnessRecord}
 
 /** One micro-batch input row: an item occurrence with its witness and the
   * global stream position (events are replayed in `pos` order per key so
@@ -93,15 +93,16 @@ object StreamingWitness {
 
   /** Final selection over the latest candidate row per item: run i keeps
     * the s least (priority, item) among keys that reached d1(i), as the
-    * sequential reservoir does, and reports its least with a full buffer.
+    * sequential reservoir does, and reports its least with a full buffer
+    * ([[InsertionOnlyND.bottomS]]). A gated-out key still counts among the
+    * s, with an empty buffer.
     */
   def select(latest: Seq[WitnessCandidate], cfg: Config): (Option[FrequentItemReport], Vector[Boolean]) = {
     val outcome = Vector.tabulate(cfg.c) { i =>
-      latest.filter(_.count >= cfg.thresholds(i))
-        .sortBy(k => (priority(cfg.seed, i, k.item), k.item))
-        .take(cfg.s)
-        .collectFirst { case k if k.buffers(i).size >= cfg.d2 =>
-          FrequentItemReport(k.item, k.buffers(i).toVector) }
+      val crossers = latest.collect { case k if k.count >= cfg.thresholds(i) =>
+        Neighborhood(k.item, k.buffers(i).toVector) }
+      InsertionOnlyND.bottomS(i, crossers, cfg.s, cfg.d2, cfg.seed)
+        .map(nb => FrequentItemReport(nb.a, nb.neighbors))
     }
     (InsertionOnlyND.pick(outcome, cfg.seed), outcome.map(_.nonEmpty))
   }

@@ -2,7 +2,7 @@ package repro.tables
 
 import scala.util.Random
 
-import repro.core.{DegResSampling, DegreeTracker, Edge}
+import repro.core.{DegResSampling, Edge, InsertionOnlyND}
 
 /** Table 3 — Deg-Res-Sampling (Lemma 3.1): empirical success probability
   * against the bound 1 - (1 - s/n1)^n2 over a (n1, n2, s) grid, with n1
@@ -25,9 +25,8 @@ object Table3DegRes {
           val deg = if (a <= n2) d1 + d2 - 1 else d1
           (1 to deg).map(i => Edge(a.toLong, a * 1000L + i))
         }.toVector)
-        val tracker = new DegreeTracker
         val alg = new DegResSampling(d1, d2, s, seed = 13L * t + n1, run = 0)
-        edges.foreach(e => alg.process(e, tracker.bump(e.a)))
+        InsertionOnlyND.feed(edges, Vector(alg))
         if (alg.succeeded) succ += 1
       }
       Cell(n1, n2, s, trials, succ, bound)

@@ -12,9 +12,8 @@ class DegResSamplingSpec extends SparkSpec {
 
   /** Feed edges through a tracker + single sampler. */
   private def feed(edges: Seq[Edge], d1: Int, d2: Int, s: Int, seed: Long): DegResSampling = {
-    val tracker = new DegreeTracker
     val alg = new DegResSampling(d1, d2, s, seed, run = 0)
-    edges.foreach(e => alg.process(e, tracker.bump(e.a)))
+    InsertionOnlyND.feed(edges, Vector(alg))
     alg
   }
 

@@ -12,7 +12,7 @@ import repro.SparkSpec
   */
 class KSamplerSpec extends SparkSpec {
 
-  // Cells per level exactly as Algorithm 3 sizes its sketches.
+  // Cells per ring exactly as Algorithm 3 sizes its sketches.
   private val cfg = TurnstileConfig(64, 4096, 64, 1, seed = 1, cv = 1.0, ce = 1.0, buckets = 6)
   private def sketch(domain: Long, seed: Long, k: Int): KSampler =
     new KSampler(domain, seed, k, cfg.cellsFor(k))
@@ -160,6 +160,47 @@ class KSamplerSpec extends SparkSpec {
     assert(s.words == 0)
     s.update(7, 1)
     assert(s.words > 0 && s.words < s.levels.toLong * 3 * s.cells)
+  }
+
+  /** The dense level capacity: levels 0 up to the deepest ring any of xs
+    * reaches, 3·cells words each.
+    */
+  private def levelWords(s: KSampler, xs: Seq[Long]): Long =
+    (xs.map(x => math.min(s.levels - 1, java.lang.Long.numberOfLeadingZeros(s.uHash(x))))
+      .maxOption.getOrElse(-1) + 1).toLong * 3 * s.cells
+
+  test("words are the dense level capacity after inserts, cancelling deletes and merge") {
+    for (trial <- 1 to 50) {
+      val rng = new Random(trial * 43L)
+      val domain = 1L + rng.nextLong(1L << (1 + rng.nextInt(40)))
+      val xs = Vector.fill(rng.nextInt(300))(rng.nextLong(domain))
+      val ys = Vector.fill(rng.nextInt(300))(rng.nextLong(domain))
+      val s = sketch(domain, seed = trial, k = 1 + rng.nextInt(32))
+      xs.foreach(x => s.update(x, 1))
+      assert(s.words == levelWords(s, xs), s"trial=$trial after inserts")
+      xs.foreach(x => s.update(x, -1))
+      assert(s.sample() == KSample.Empty)
+      assert(s.words == levelWords(s, xs), s"trial=$trial after deletes")
+      val other = sketch(domain, seed = trial, k = s.k)
+      ys.foreach(y => other.update(y, 1))
+      assert(other.words == levelWords(other, ys), s"trial=$trial other")
+      s.merge(other)
+      assert(s.words == levelWords(s, xs ++ ys), s"trial=$trial after merge")
+    }
+  }
+
+  test("sample() leaves the sketch as it was") {
+    for (trial <- 1 to 40) {
+      val rng = new Random(trial * 47L)
+      // Some sketches too small to peel, so that Failed queries are covered too.
+      val cells = if (trial % 4 == 0) 6 else cfg.cellsFor(16)
+      val s = new KSampler(1L << 20, trial, k = 16, cells)
+      randomUpdates(rng, rng.nextInt(300), 1L << 20).foreach { case (x, d) => s.update(x, d) }
+      val before = s.snapshot
+      val first = s.sample()
+      assert(s.snapshot == before, s"trial=$trial")
+      assert(s.sample() == first, s"trial=$trial")
+    }
   }
 
   test("cell floor: k = 4 on a degree-64 support draws 4 samples in >= 98 of 100 seeds") {

@@ -152,7 +152,7 @@ class TurnstileNDSpec extends SparkSpec {
     }
 
   test("decode failures are counted per bank and add up over the shards") {
-    // buckets = 1 leaves 32 cells per level for a degree-64 vertex (k = 64)
+    // buckets = 1 leaves 32 cells per ring for a degree-64 vertex (k = 64)
     // and 8 for the 1,024 edges (k = 10): neither can peel.
     val cfg = TurnstileConfig(16, 256, 64, 1, seed = 3, cv = 1.0, ce = 0.001, buckets = 1)
     val ops = for (a <- 1L to 16L; b <- 1L to 64L) yield StreamOp(repro.core.Edge(a, 3 * b), 1)
@@ -162,6 +162,36 @@ class TurnstileNDSpec extends SparkSpec {
     assert(cfg.assemble(shards) == whole)
     val none = new TurnstileND(cfg).processAll(ops ++ ops.map(op => StreamOp(op.edge, -1))).result()
     assert(none.vertexDecodeFailures == 0 && none.edgeDecodeFailures == 0 && none.output.isEmpty)
+  }
+
+  test("the result does not depend on op order, deletes before inserts included") {
+    for (trial <- 1 to 12) {
+      val rng = new scala.util.Random(trial * 53L)
+      val n = 48L; val m = 192L; val d = 12; val c = 2 + rng.nextInt(3)
+      val (edges, _) = SynthGraphs.plantedStar(n, m, d, maxBg = 3, seed = trial)
+      val ops = SynthGraphs.turnstileFrom(edges, m, chaffFraction = 0.5, seed = trial + 100L)
+      val cfg = TurnstileConfig(n, m, d, c, seed = trial + 200L,
+        cv = 0.5 + rng.nextDouble(), ce = 0.2 + rng.nextDouble(), buckets = 6)
+      val (deletes, inserts) = ops.partition(_.delta < 0)
+      val orders = Seq(ops.reverse, rng.shuffle(ops), deletes ++ inserts)
+      // Every order moves some delete ahead of its insert.
+      def deleteFirst(order: Seq[StreamOp]) =
+        order.groupBy(_.edge).valuesIterator.exists(_.head.delta < 0)
+      assert(orders.forall(deleteFirst), s"trial=$trial")
+      def build(stream: Seq[StreamOp]) = new TurnstileND(cfg).processAll(stream)
+      val want = build(ops)
+      for (order <- orders) {
+        val got = build(order)
+        assert(got.samples == want.samples, s"trial=$trial")
+        assert(got.result() == want.result(), s"trial=$trial")
+      }
+      // Only the final graph: the same answer; words may differ, since a
+      // cancelled coordinate still allocates its ring.
+      def answer(r: TurnstileResult) = (r.output, r.strategy, r.vertexBestSize, r.edgeBestSize,
+        r.vertexDecodeFailures, r.edgeDecodeFailures)
+      assert(answer(build(edges.map(e => StreamOp(e, 1))).result()) == answer(want.result()),
+        s"trial=$trial")
+    }
   }
 
   test("StreamOp rejects invalid deltas") {
