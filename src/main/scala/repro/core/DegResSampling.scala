@@ -9,8 +9,9 @@ import repro.Hashing
   * Algorithm 2 runs c copies of Deg-Res-Sampling in parallel but the paper
   * charges the O(n log n)-bit degree table only once; sharing one tracker
   * across runs reproduces that accounting and avoids re-counting.
+  * Serializable so that the streaming build can keep it as operator state.
   */
-final class DegreeTracker {
+final class DegreeTracker extends Serializable {
   private val deg = mutable.HashMap.empty[Long, Int]
 
   /** Increment deg(a) by one and return the new degree. */
@@ -49,9 +50,12 @@ final class DegreeTracker {
   *
   * Words: one per reservoir id plus one per collected edge (the degree
   * table is charged by the caller via [[DegreeTracker.words]]).
+  *
+  * Serializable so that the streaming build can keep it as operator state
+  * across micro-batches.
   */
 final class DegResSampling(val d1: Int, val d2: Int, val s: Int, seed: Long, run: Int)
-    extends SpaceMeter {
+    extends SpaceMeter with Serializable {
   require(d1 >= 1 && d2 >= 1 && s >= 1, s"bad params d1=$d1 d2=$d2 s=$s")
 
   // Max-heap of (priority, a) over the reservoir: its head is evicted first.

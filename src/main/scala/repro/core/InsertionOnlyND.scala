@@ -69,10 +69,11 @@ object InsertionOnlyND {
     Vector.tabulate(c)(i => new DegResSampling(threshold(i, d, c), targetSize(d, c), s, seed, i))
 
   /** Feed `edges` in order to every run, sharing one degree table, and
-    * return that table. The Spark build calls it on each vertex partition.
+    * return that table: `degrees` when given, to continue a stream, else a
+    * new one. The Spark builds call it on each vertex partition.
     */
-  def feed(edges: IterableOnce[Edge], runs: Vector[DegResSampling]): DegreeTracker = {
-    val degrees = new DegreeTracker
+  def feed(edges: IterableOnce[Edge], runs: Vector[DegResSampling],
+           degrees: DegreeTracker = new DegreeTracker): DegreeTracker = {
     val r = runs.length
     val it = edges.iterator
     while (it.hasNext) {
@@ -84,12 +85,38 @@ object InsertionOnlyND {
     degrees
   }
 
-  /** Every build's report rule for one run: of the `stored` neighborhoods,
-    * the s of least ([[Hashing.priority]](seed, run, a), a) are the run's
-    * reservoir, and the first of them with d2 neighbors is its outcome.
+  /** What the runs of one vertex partition hand to [[merge]]: run i's
+    * stored neighborhoods and peak words, and the words of the partition's
+    * degree table.
     */
-  def bottomS(run: Int, stored: Seq[Neighborhood], s: Int, d2: Int, seed: Long): Option[Neighborhood] =
-    stored.sortBy(nb => (Hashing.priority(seed, run, nb.a), nb.a)).take(s).find(_.size >= d2)
+  final case class Shard(stored: Vector[Vector[Neighborhood]], peakWords: Vector[Long],
+                         degreeWords: Long)
+
+  /** The shard of `runs` and the degree table they were fed with. */
+  def shard(runs: Vector[DegResSampling], degrees: DegreeTracker): Shard =
+    Shard(runs.map(_.storedNeighborhoods), runs.map(_.peakWords), degrees.words)
+
+  /** The result of the c runs over vertex-disjoint partitions, merged.
+    * Run i's reservoir is a bottom-s sample by priority, and bottom-s
+    * samples merge by union (Cohen–Kaplan bottom-k sketches; Agarwal et
+    * al., *Mergeable Summaries*, PODS 2012): of the shards' stored
+    * neighborhoods, the s of least ([[Hashing.priority]](seed, i, a), a)
+    * are the sequential run's reservoir, and the first of them with d2
+    * neighbors is its outcome. So the result equals [[run]]'s on the whole
+    * stream, except that run i's peak words are its largest shard's.
+    * Degree words add up, as the partitions share no vertex.
+    */
+  def merge(shards: Seq[Shard], c: Int, s: Int, d2: Int, seed: Long): InsertionOnlyResult = {
+    val outcome = Vector.tabulate(c)(i => shards.flatMap(_.stored(i))
+      .sortBy(nb => (Hashing.priority(seed, i, nb.a), nb.a)).take(s).find(_.size >= d2))
+    InsertionOnlyResult(
+      output        = pick(outcome, seed),
+      runSucceeded  = outcome.map(_.nonEmpty),
+      reservoirSize = s,
+      runPeakWords  = Vector.tabulate(c)(i => shards.map(_.peakWords(i)).maxOption.getOrElse(0L)),
+      degreeWords   = shards.map(_.degreeWords).sum,
+    )
+  }
 
   /** Process the whole insertion-only edge stream.
     *

@@ -4,7 +4,7 @@ import org.apache.spark.Partitioner
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
-import repro.core.{Edge, InsertionOnlyND, InsertionOnlyResult, Neighborhood}
+import repro.core.{Edge, InsertionOnlyND, InsertionOnlyResult}
 
 /** Algorithm 2 on vertex partitions — DESIGN.md §4, S7.
   *
@@ -18,23 +18,17 @@ import repro.core.{Edge, InsertionOnlyND, InsertionOnlyResult, Neighborhood}
   * reservoirs are the sequential reservoir's final set. A vertex in that
   * set has been held since it crossed d1, and its buffer depends only on
   * its own edges, so its neighborhood is the sequential one too. Each run
-  * keeps its full neighborhood of least priority
-  * ([[InsertionOnlyND.bottomS]]), and the winning run is
-  * [[InsertionOnlyND.pick]]'s: the result equals [[InsertionOnlyND.run]]'s
-  * for the same seed, in one Spark job whatever c is.
+  * keeps its full neighborhood of least priority, and the winning run is
+  * [[InsertionOnlyND.pick]]'s ([[InsertionOnlyND.merge]]): the result
+  * equals [[InsertionOnlyND.run]]'s for the same seed, in one Spark job
+  * whatever c is.
   */
 object SparkDegRes {
-
-  /** Run i's stored neighborhoods and peak words on one vertex partition,
-    * and the words of its degree table.
-    */
-  private final case class Shard(stored: Vector[Vector[Neighborhood]], peakWords: Vector[Long],
-                                 degreeWords: Long)
 
   /** Partitions `(a, pos)` keys by `a` alone, so a vertex's edges meet. */
   private final class VertexPartitioner(val numPartitions: Int) extends Partitioner {
     def getPartition(key: Any): Int = key match {
-      case (a: Long, _) => Math.floorMod(java.lang.Long.hashCode(a), numPartitions)
+      case (a: Long, _) => VertexPartitions.partitionOf(a, numPartitions)
     }
   }
 
@@ -54,7 +48,7 @@ object SparkDegRes {
           sOverride: Option[Int] = None): InsertionOnlyResult = {
     val s  = InsertionOnlyND.checkedReservoirSize(n, d, c, sOverride)
     val d2 = InsertionOnlyND.targetSize(d, c)
-    val parts = StreamingWitness.corePartitions(edges.sparkSession)
+    val parts = VertexPartitions.corePartitions(edges.sparkSession)
     val shards = edges
       .select(col("a").cast("long"), col("pos").cast("long"), col("b").cast("long"))
       .rdd.map(r => ((r.getLong(0), r.getLong(1)), r.getLong(2)))
@@ -62,17 +56,9 @@ object SparkDegRes {
       .mapPartitions { rows =>
         val runs = InsertionOnlyND.runs(d, c, s, seed)
         val degrees = InsertionOnlyND.feed(rows.map { case ((a, _), b) => Edge(a, b) }, runs)
-        Iterator.single(Shard(runs.map(_.storedNeighborhoods), runs.map(_.peakWords), degrees.words))
+        Iterator.single(InsertionOnlyND.shard(runs, degrees))
       }
       .collect().toVector
-    val outcome = Vector.tabulate(c)(i =>
-      InsertionOnlyND.bottomS(i, shards.flatMap(_.stored(i)), s, d2, seed))
-    InsertionOnlyResult(
-      output        = InsertionOnlyND.pick(outcome, seed),
-      runSucceeded  = outcome.map(_.nonEmpty),
-      reservoirSize = s,
-      runPeakWords  = Vector.tabulate(c)(i => shards.map(_.peakWords(i)).max),
-      degreeWords   = shards.map(_.degreeWords).sum,
-    )
+    InsertionOnlyND.merge(shards, c, s, d2, seed)
   }
 }

@@ -1,10 +1,15 @@
 package repro.spark
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+
 import repro.{SparkSpec, SynthGraphs}
 import repro.core.{Edge, FrequentItemReport, InsertionOnlyND, Neighborhood, WitnessRecord}
 
-/** Adversarial stream orders: with the heavy vertex's edges placed first,
-  * last or interleaved with the background, the sequential, DataFrame and
+/** Adversarial stream orders, generated: on random permutations of a
+  * planted instance, with the heavy vertex's edges moved first, moved last
+  * or left where the permutation put them, the sequential, DataFrame and
   * streaming builds of Algorithm 2 return the same result for a seed, and
   * that result is a valid floor(d/c) neighborhood.
   */
@@ -13,22 +18,34 @@ class StreamOrderSpec extends SparkSpec {
   private val n = 96L
   private val d = 24
 
+  /** Each case runs a streaming query and a Spark job, so a few cases per
+    * instance keep the suite's time near the fixed orders' it replaces.
+    */
+  private val casesPerInstance = 3
+
   private val families = Seq[(String, Long => (Vector[Edge], Long))](
     ("plantedStar", s => SynthGraphs.plantedStar(n, 4 * n, d, 6, s)),
     ("uniform+star", s => SynthGraphs.uniformPlusPlanted(n, 4 * n, d, 5, s)),
   )
 
-  /** The stream with the heavy vertex's edges first, last, and spread
-    * evenly through the background.
+  /** A placement of the heavy vertex's edges, and a shuffle seed. Kept
+    * small so that a failing case prints as two values, not a stream.
     */
-  private def orders(edges: Vector[Edge], heavy: Long): Seq[(String, Vector[Edge])] = {
-    val (h, bg) = edges.partition(_.a == heavy)
-    val spread = h.size.toDouble / (bg.size + 1)
-    val interleaved = (
-      h.indices.map(j => (h(j), (j + 0.5) / spread)) ++
-        bg.indices.map(k => (bg(k), k.toDouble))
-    ).sortBy(_._2).map(_._1).toVector
-    Seq("heavy first" -> (h ++ bg), "heavy last" -> (bg ++ h), "interleaved" -> interleaved)
+  private val orders: Gen[(String, Long)] =
+    Gen.zip(Gen.oneOf("heavy first", "heavy last", "shuffled"), Gen.long)
+
+  /** A random permutation of `edges`, then the heavy vertex's edges first,
+    * last, or in place.
+    */
+  private def arrange(edges: Vector[Edge], heavy: Long, placement: String,
+                      shuffleSeed: Long): Vector[Edge] = {
+    val shuffled = new scala.util.Random(shuffleSeed).shuffle(edges)
+    val (h, bg) = shuffled.partition(_.a == heavy)
+    placement match {
+      case "heavy first" => h ++ bg
+      case "heavy last"  => bg ++ h
+      case _             => shuffled
+    }
   }
 
   for ((family, mk) <- families; c <- Seq(2, 3))
@@ -36,8 +53,9 @@ class StreamOrderSpec extends SparkSpec {
       val seed = 7L * c
       val (edges, heavy) = mk(seed)
       val adj = SynthGraphs.adjacency(edges)
-      for ((order, stream) <- orders(edges, heavy)) {
-        val clue = s"$order c=$c"
+      val prop = Prop.forAllNoShrink(orders) { case (placement, shuffleSeed) =>
+        val stream = arrange(edges, heavy, placement, shuffleSeed)
+        val clue = s"$placement, shuffle seed $shuffleSeed, c=$c"
         val seq = InsertionOnlyND.run(stream, n, d, c, seed)
         val nb = seq.output.getOrElse(fail(s"$clue: no output"))
         assert(nb.size == InsertionOnlyND.targetSize(d, c) && Neighborhood.isValid(nb, adj), clue)
@@ -47,6 +65,12 @@ class StreamOrderSpec extends SparkSpec {
           stream.map(e => WitnessRecord(e.a, e.b)), 3, StreamingWitness.Config(n, d, c, seed))
         assert(report.contains(FrequentItemReport(nb.a, nb.neighbors)), clue)
         assert(succ == seq.runSucceeded, clue)
+        Prop.passed
       }
+      val params = Test.Parameters.default
+        .withMinSuccessfulTests(casesPerInstance)
+        .withInitialSeed(Seed(seed))
+      val result = Test.check(params, prop)
+      assert(result.passed, Pretty.pretty(result, Pretty.Params(2)))
     }
 }

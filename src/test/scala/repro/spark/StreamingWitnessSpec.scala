@@ -3,17 +3,17 @@ package repro.spark
 import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.StreamingQueryListener
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
-import repro.{Hashing, Oracle, SparkSpec, SynthGraphs}
-import repro.core.{FrequentWitness, WitnessRecord}
+import repro.{Oracle, SparkSpec, SynthGraphs}
+import repro.core.{FrequentWitness, InsertionOnlyND, WitnessRecord}
 
 /** Tests for the Structured Streaming stateful operator (S8): per-key
   * counts, witness collection rule, micro-batch invariance, final
-  * selection equal to the sequential build's, Bernoulli-gate space mode.
+  * selection equal to the sequential build's, state within P·c·s
+  * neighborhoods.
   */
 class StreamingWitnessSpec extends SparkSpec {
 
@@ -21,16 +21,29 @@ class StreamingWitnessSpec extends SparkSpec {
     SynthGraphs.zipfWitnessStream(nItems, total, alpha, seed)
 
   test("per-key counts equal the true frequencies (oracle-checked)") {
+    // Every stored neighborhood of run i is the key's witnesses from its
+    // d1(i)-th occurrence on, capped at d2, so its size pins the key's
+    // count; the degree tables hold each item once.
     val (recs, freq) = stream(50, 600, 1.1, seed = 1)
     val d = freq.values.max.toInt
     val cfg = StreamingWitness.Config(nItems = 50, d = d, c = 2, seed = 2)
     import spark.implicits._
-    val latest = StreamingWitness.latestCandidates(spark, recs, nBatches = 1, cfg)
-    val got = latest.map(c => (c.item, c.count)).toDF("item", "cnt")
+    val shards = StreamingWitness.latestShards(spark, recs, nBatches = 3, cfg)
     val truth = recs.map(r => (r.item, r.witness)).toDF("item", "witness")
+    val stored = for (sh <- shards; i <- 0 until cfg.c; nb <- sh.stored(i))
+      yield (i, nb.a, nb.size.toLong)
+    assert(stored.nonEmpty)
+    val d1 = (0 until cfg.c).map(i => s"WHEN $i THEN ${InsertionOnlyND.threshold(i, d, cfg.c)}")
     Oracle.assertEquivalent(
-      got.select(col("item"), col("cnt")),
-      "SELECT item, count(*) AS cnt FROM truth GROUP BY item",
+      stored.toDF("run", "item", "size"),
+      s"""SELECT s.run, s.item,
+         |  least(${cfg.d2}, t.cnt - CASE CAST(s.run AS INTEGER) ${d1.mkString(" ")} END + 1) AS size
+         |FROM stored s JOIN (SELECT item, count(*) AS cnt FROM truth GROUP BY item) t
+         |  ON s.item = t.item""".stripMargin,
+      "truth" -> truth, "stored" -> stored.map(x => (x._1, x._2)).toDF("run", "item"))
+    Oracle.assertEquivalent(
+      Seq(shards.map(_.degreeWords).sum).toDF("n"),
+      "SELECT count(DISTINCT item) AS n FROM truth",
       "truth" -> truth)
   }
 
@@ -72,7 +85,7 @@ class StreamingWitnessSpec extends SparkSpec {
   }
 
   test("ungated operator matches the sequential candidate semantics") {
-    // Ungated, the operator's sample per run is the sequential reservoir's
+    // The operator's merged sample per run is the sequential reservoir's
     // final set, so report and per-run success equal the sequential build's.
     val (recs, freq) = stream(30, 400, 1.0, seed = 31)
     val d = freq.values.max.toInt
@@ -86,45 +99,28 @@ class StreamingWitnessSpec extends SparkSpec {
     }
   }
 
-  test("a gate above every sampled key's priority leaves the report unchanged") {
-    // d = 4: most keys reach both thresholds, so each run's sample of s
-    // keys leaves many keys out and the gate below 1 cuts state.
+  test("state is bounded by P*c*s neighborhoods") {
+    // d = 4: most keys reach both thresholds, so a store per crossing key
+    // would hold nearly every key; the operator holds each partition's
+    // reservoirs only.
     val (recs, _) = stream(200, 3000, 1.1, seed = 61)
-    val full = StreamingWitness.Config(nItems = 200, d = 4, c = 2, seed = 62)
-    val latest = StreamingWitness.latestCandidates(spark, recs, 2, full)
-    val sampledMax = (0 until full.c).map { i =>
-      latest.filter(_.count >= full.thresholds(i))
-        .map(k => Hashing.priority(full.seed, i, k.item)).sorted.take(full.s).max
-    }.max
-    val gate = math.nextUp(sampledMax.toDouble) / Long.MaxValue.toDouble
-    assert(gate < 1.0, s"gate $gate must cut some keys")
-    val gated = full.copy(gate = gate)
-    val (rFull, sFull, stateFull)    = StreamingWitness.runMicroBatched(spark, recs, 2, full)
-    val (rGated, sGated, stateGated) = StreamingWitness.runMicroBatched(spark, recs, 2, gated)
-    assert(rFull.nonEmpty)
-    assert(rGated == rFull && sGated == sFull)
-    assert(stateGated < stateFull, s"gate $gate kept $stateGated of $stateFull buffered keys")
-  }
-
-  test("Bernoulli gate shrinks state while keeping heavy hitters findable") {
-    val (recs, freq) = stream(200, 3000, 1.3, seed = 41)
-    val d = freq.values.max.toInt
-    val full  = StreamingWitness.Config(nItems = 200, d = d, c = 2, seed = 42, gate = 1.0)
-    val gated = StreamingWitness.Config(nItems = 200, d = d, c = 2, seed = 42, gate = 0.3)
-    val (rFull, _, stateFull)   = StreamingWitness.runMicroBatched(spark, recs, 3, full)
-    val (rGated, _, stateGated) = StreamingWitness.runMicroBatched(spark, recs, 3, gated)
-    assert(rFull.nonEmpty)
-    assert(stateGated < stateFull, s"gate must shrink buffered keys ($stateGated >= $stateFull)")
-    // With gate=0.3 over many candidate keys, some run still succeeds whp.
-    rGated.foreach { r =>
-      val trueW = recs.filter(_.item == r.item).map(_.witness).toSet
-      assert(r.witnesses.forall(trueW.contains))
+    val cfg = StreamingWitness.Config(nItems = 200, d = 4, c = 2, seed = 62)
+    val parts = VertexPartitions.corePartitions(spark)
+    val (want, seq) = FrequentWitness.runDetailed(recs, 200, 4, 2, seed = 62)
+    assert(want.nonEmpty)
+    for (nBatches <- Seq(1, 3)) {
+      val shards = StreamingWitness.latestShards(spark, recs, nBatches, cfg)
+      val stored = shards.map(_.stored.map(_.size).sum).sum
+      assert(stored <= parts * cfg.c * cfg.s, s"nBatches=$nBatches: $stored neighborhoods stored")
+      val bound = cfg.s.toLong * (1 + cfg.d2)
+      assert(shards.forall(_.peakWords.forall(_ <= bound)),
+        s"nBatches=$nBatches: run peaks ${shards.map(_.peakWords)} above $bound")
+      val (report, succ, _) = StreamingWitness.runMicroBatched(spark, recs, nBatches, cfg)
+      assert(report == want && succ == seq.runSucceeded, s"nBatches=$nBatches")
     }
   }
 
-  test("gate validation") {
-    intercept[IllegalArgumentException](
-      StreamingWitness.Config(nItems = 10, d = 4, c = 2, seed = 1, gate = 0.0))
+  test("Config and nBatches validation") {
     intercept[IllegalArgumentException](
       StreamingWitness.Config(nItems = 10, d = 4, c = 1, seed = 1))
     val cfg = StreamingWitness.Config(nItems = 10, d = 4, c = 2, seed = 1)
