@@ -38,6 +38,10 @@ object FrequentWitness {
                   c: Int, seed: Long): (Option[FrequentItemReport], InsertionOnlyResult) = {
     val res = InsertionOnlyND.run(
       records.iterator.map(r => Edge(r.item, r.witness)), nItems, d, c, seed)
-    (res.output.map(nb => FrequentItemReport(nb.a, nb.neighbors)), res)
+    (report(res), res)
   }
+
+  /** The report of an Algorithm 2 result: its output's item and witnesses. */
+  def report(res: InsertionOnlyResult): Option[FrequentItemReport] =
+    res.output.map(nb => FrequentItemReport(nb.a, nb.neighbors))
 }

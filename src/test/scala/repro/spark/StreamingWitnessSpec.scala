@@ -1,9 +1,15 @@
 package repro.spark
 
+import java.nio.file.{Files, Path}
 import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.streaming.StreamingQueryListener
+import jdk.jfr.Recording
+import jdk.jfr.consumer.RecordingFile
+import org.apache.hadoop.util.NativeCodeLoader
+import org.apache.spark.TestBus
+import org.apache.spark.sql.execution.streaming.checkpointing.FileContextBasedCheckpointFileManager
+import org.apache.spark.sql.streaming.{StreamingQueryException, StreamingQueryListener}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
@@ -13,7 +19,8 @@ import repro.core.{FrequentWitness, InsertionOnlyND, WitnessRecord}
 /** Tests for the Structured Streaming stateful operator (S8): per-key
   * counts, witness collection rule, micro-batch invariance, final
   * selection equal to the sequential build's, state within P·c·s
-  * neighborhoods.
+  * neighborhoods, restart from a checkpoint, checkpoint writes without a
+  * process per file, the caller's session left as found.
   */
 class StreamingWitnessSpec extends SparkSpec {
 
@@ -160,5 +167,139 @@ class StreamingWitnessSpec extends SparkSpec {
     assert(seen.asScala.toSet == Set(expected.toLong),
       s"state partitions ${seen.asScala.toSet}, expected $expected")
     assert(spark.conf.get(key) == before, "session shuffle partitions must be restored")
+  }
+
+  private val shufflePartitions = "spark.sql.shuffle.partitions"
+  private val fileManager = "spark.sql.streaming.checkpointFileManagerClass"
+
+  /** `body`'s value and the state-partition counts its queries reported. */
+  private def statePartitionsSeen[T](body: => T): (T, Set[Long]) = {
+    val seen = new ConcurrentLinkedQueue[Long]()
+    val listener = new StreamingQueryListener {
+      override def onQueryStarted(e: StreamingQueryListener.QueryStartedEvent): Unit = ()
+      override def onQueryProgress(e: StreamingQueryListener.QueryProgressEvent): Unit =
+        e.progress.stateOperators.headOption.foreach(op => seen.add(op.numShufflePartitions))
+      override def onQueryTerminated(e: StreamingQueryListener.QueryTerminatedEvent): Unit = ()
+    }
+    spark.streams.addListener(listener)
+    try {
+      val out = body
+      // The queries have stopped; their progress events are queued on the bus.
+      TestBus.drain(spark.sparkContext)
+      (out, seen.asScala.toSet)
+    } finally spark.streams.removeListener(listener)
+  }
+
+  /** The command lines of the processes this JVM started during `body`,
+    * from a JFR recording of `jdk.ProcessStart` events only.
+    */
+  private def processStarts(body: => Unit): Vector[String] = {
+    val file = Files.createTempFile("process-start", ".jfr")
+    val rec = new Recording()
+    try {
+      rec.enable("jdk.ProcessStart")
+      rec.start()
+      try body finally rec.stop()
+      rec.dump(file)
+      RecordingFile.readAllEvents(file).asScala.map(_.getString("command")).toVector
+    } finally { rec.close(); Files.delete(file) }
+  }
+
+  private def deleteTree(dir: Path): Unit = {
+    val paths = Files.walk(dir)
+    try paths.iterator.asScala.toVector.reverse.foreach(Files.delete) finally paths.close()
+  }
+
+  test("a query stopped after k of n batches resumes from its checkpoint with the same result") {
+    val (recs, freq) = stream(60, 900, 1.1, seed = 71)
+    val d = freq.values.max.toInt
+    val cfg = StreamingWitness.Config(nItems = 60, d = d, c = 2, seed = 72)
+    val (want, seq) = FrequentWitness.runDetailed(recs, 60, d, 2, seed = 72)
+    val n = 5
+    val batchSize = math.ceil(recs.size.toDouble / n).toInt
+    val parts = VertexPartitions.corePartitions(spark)
+    val (whole, wholeParts) = statePartitionsSeen(StreamingWitness.latestShards(spark, recs, n, cfg))
+    assert(wholeParts == Set(parts.toLong))
+    val uninterrupted = InsertionOnlyND.merge(whole, cfg.c, cfg.s, cfg.d2, cfg.seed)
+    assert(FrequentWitness.report(uninterrupted) == want && uninterrupted.runSucceeded == seq.runSucceeded)
+    val sessionPartitions = spark.conf.get(shufflePartitions)
+    for (k <- Seq(1, 3)) {
+      // The restarted query returns the shards of partitions with events
+      // after the restart; here that is every partition.
+      val after = recs.drop(k * batchSize).map(r => VertexPartitions.partitionOf(r.item, parts)).toSet
+      assert(after == recs.map(r => VertexPartitions.partitionOf(r.item, parts)).toSet)
+      val dir = Files.createTempDirectory("streaming-witness-restart")
+      try {
+        StreamingWitness.latestShards(spark, recs.take(k * batchSize), nBatches = k, cfg, Some(dir))
+        // Spark's own checksum file of every state partition's first version.
+        val stateDirs = dir.resolve("state/0").toFile.listFiles.toVector
+          .filter(_.getName.forall(_.isDigit))
+        assert(stateDirs.size == parts, s"k=$k: state partitions $stateDirs")
+        assert(stateDirs.forall(p => new java.io.File(p, "1.delta.crc").isFile),
+          s"k=$k: missing 1.delta.crc in ${stateDirs.map(_.list.toVector)}")
+        // Restart on a session whose core-partition count differs: the
+        // query keeps the checkpoint's.
+        spark.conf.set(shufflePartitions, math.max(1, parts - 1).toLong)
+        val (resumed, resumedParts) = try statePartitionsSeen(
+          StreamingWitness.latestShards(spark, recs, nBatches = n, cfg, Some(dir)))
+        finally spark.conf.set(shufflePartitions, sessionPartitions)
+        assert(resumedParts == Set(parts.toLong), s"k=$k: state partitions after the restart")
+        assert(resumed.toSet == whole.toSet, s"k=$k: shards differ from the uninterrupted run's")
+        assert(InsertionOnlyND.merge(resumed, cfg.c, cfg.s, cfg.d2, cfg.seed) == uninterrupted, s"k=$k")
+      } finally deleteTree(dir)
+    }
+  }
+
+  test("checkpoint writes start no readlink process, and the temp checkpoint is deleted") {
+    // Without the native Hadoop library, Hadoop's FileContext rename starts
+    // a readlink process per file; FileSystem.rename does not.
+    assume(!NativeCodeLoader.isNativeCodeLoaded, "native Hadoop starts no process per file")
+    val (recs, freq) = stream(20, 200, 1.1, seed = 81)
+    val cfg = StreamingWitness.Config(nItems = 20, d = freq.values.max.toInt, c = 2, seed = 82)
+    val commands = processStarts(StreamingWitness.runMicroBatched(spark, recs, nBatches = 2, cfg))
+      .filter(_.contains(StreamingWitness.TempCheckpointPrefix))
+    // The permission changes still start processes, which shows the
+    // recording saw the checkpoint's writes.
+    assert(commands.exists(_.startsWith("chmod")), s"no chmod recorded among $commands")
+    val readlinks = commands.filter(_.startsWith("readlink"))
+    assert(readlinks.isEmpty, s"${readlinks.size} readlink processes, e.g. ${readlinks.take(3)}")
+    val dirs = commands.flatMap(cmd =>
+      s"/[^\\s:]*${StreamingWitness.TempCheckpointPrefix}[^/\\s]*".r.findFirstIn(cmd)).distinct
+    assert(dirs.size == 1, s"checkpoint directories $dirs")
+    assert(!Files.exists(java.nio.file.Paths.get(dirs.head)), s"${dirs.head} is left behind")
+  }
+
+  test("the caller's session confs are left as found, set or unset, also when start() throws") {
+    val keys = Seq(shufflePartitions, fileManager)
+    def confs: Map[String, Option[String]] = {
+      val set = spark.conf.getAll
+      keys.map(k => k -> set.get(k)).toMap
+    }
+    val (recs, freq) = stream(20, 200, 1.1, seed = 91)
+    val cfg = StreamingWitness.Config(nItems = 20, d = freq.values.max.toInt, c = 2, seed = 92)
+    val saved = confs
+    def leavesAsFound(): Unit = {
+      val before = confs
+      StreamingWitness.runMicroBatched(spark, recs, nBatches = 2, cfg)
+      assert(confs == before, "after a query")
+      // A checkpoint whose metadata file is not JSON fails the query's start.
+      val dir = Files.createTempDirectory("streaming-witness-bad-metadata")
+      try {
+        Files.writeString(dir.resolve("metadata"), "not json")
+        val e = intercept[Exception](
+          StreamingWitness.latestShards(spark, recs, nBatches = 2, cfg, Some(dir)))
+        assert(!e.isInstanceOf[StreamingQueryException], s"the query ran: $e")
+      } finally deleteTree(dir)
+      assert(confs == before, "after a failed start")
+    }
+    try {
+      keys.foreach(spark.conf.unset)
+      leavesAsFound()
+      assert(confs.values.forall(_.isEmpty), "unset keys must stay unset")
+      spark.conf.set(shufflePartitions, 3L)
+      spark.conf.set(fileManager, classOf[FileContextBasedCheckpointFileManager].getName)
+      leavesAsFound()
+    } finally keys.foreach(k => saved(k).fold(spark.conf.unset(k))(spark.conf.set(k, _)))
+    assert(confs == saved)
   }
 }
