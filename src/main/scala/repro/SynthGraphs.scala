@@ -40,18 +40,8 @@ object SynthGraphs {
     *
     * @return (stream, planted vertex id)
     */
-  def plantedStar(n: Long, m: Long, d: Int, maxBg: Int, seed: Long): (Vector[Edge], Long) = {
-    val rng = new Random(seed)
-    val planted = rng.nextLong(n) + 1
-    val b = Vector.newBuilder[Edge]
-    var a = 1L
-    while (a <= n) {
-      val deg = if (a == planted) d else rng.nextInt(maxBg + 1)
-      distinctNeighbors(deg, m, rng).foreach(w => b += Edge(a, w))
-      a += 1
-    }
-    (rng.shuffle(b.result()), planted)
-  }
+  def plantedStar(n: Long, m: Long, d: Int, maxBg: Int, seed: Long): (Vector[Edge], Long) =
+    withPlanted(n, m, d, seed)(_.nextInt(maxBg + 1))
 
   /** Zipf-degree instance: vertex of rank r (random rank assignment) has
     * degree ~ d / r^alpha, floored at minDeg. Heavy-tailed degrees are the
@@ -78,13 +68,20 @@ object SynthGraphs {
     * exactly `bg` (< d), so only the high-threshold runs can isolate the
     * planted vertex — exercises the i = c-1 regime of Theorem 3.2.
     */
-  def uniformPlusPlanted(n: Long, m: Long, d: Int, bg: Int, seed: Long): (Vector[Edge], Long) = {
+  def uniformPlusPlanted(n: Long, m: Long, d: Int, bg: Int, seed: Long): (Vector[Edge], Long) =
+    withPlanted(n, m, d, seed)(_ => bg)
+
+  /** One uniformly chosen A-vertex of degree `d`, every other A-vertex of
+    * degree `bgDegree(rng)`, edges in uniform random stream order.
+    */
+  private def withPlanted(n: Long, m: Long, d: Int, seed: Long)
+                         (bgDegree: Random => Int): (Vector[Edge], Long) = {
     val rng = new Random(seed)
     val planted = rng.nextLong(n) + 1
     val b = Vector.newBuilder[Edge]
     var a = 1L
     while (a <= n) {
-      val deg = if (a == planted) d else bg
+      val deg = if (a == planted) d else bgDegree(rng)
       distinctNeighbors(deg, m, rng).foreach(w => b += Edge(a, w))
       a += 1
     }

@@ -44,22 +44,17 @@ object StarDetection {
     * @param n    |V|
     * @param c    per-guess approximation factor (Corollary 3.3: ceil(log n))
     * @param eps  geometric ladder step
-    * @param seed priority seed of every run
+    * @param seed priority seed of the first guess's runs; guess g's is seed + g
     */
   def run(undirected: IterableOnce[(Long, Long)], n: Long, c: Int,
           eps: Double = 0.5, seed: Long = 17L): StarResult = {
     val guesses = guessLadder(n, eps)
     val s       = InsertionOnlyND.reservoirSize(n, c)
-    // c runs per guess, all fed the doubled stream; every guess sees the
-    // same degrees, so one degree table serves them all. Run i of guess g
-    // samples with its own run index g * c + i.
+    // Algorithm 2's c runs per guess g, seeded seed + g, all fed the
+    // doubled stream; every guess sees the same degrees, so one degree
+    // table serves them all.
     val runsPerGuess = guesses.zipWithIndex.map { case (dGuess, g) =>
-      Vector.tabulate(c) { i =>
-        new DegResSampling(
-          InsertionOnlyND.threshold(i, dGuess, c),
-          InsertionOnlyND.targetSize(dGuess, c),
-          s, seed, g * c + i)
-      }
+      InsertionOnlyND.runs(dGuess, c, s, seed + g)
     }
     val doubled = undirected.iterator.flatMap { case (u, v) => Iterator(Edge(u, v), Edge(v, u)) }
     val degrees = InsertionOnlyND.feed(doubled, runsPerGuess.flatten)

@@ -1,9 +1,6 @@
 package repro.sketch
 
-import scala.collection.mutable
-import scala.util.Random
-
-import repro.Hashing.splitmix64
+import repro.Hashing.{priority, splitmix64}
 import repro.core.{Neighborhood, StreamOp}
 
 /** Which of Algorithm 3's two strategies produced the output. */
@@ -57,16 +54,13 @@ final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
   val dc: Int = math.max(1, d / c)
   val x: Double = math.max(n.toDouble / c, math.sqrt(n.toDouble))
 
-  /** Pre-sampled vertex set A' (size ~ cv·x·ln n, capped at n). */
+  /** Pre-sampled vertex set A': the t = min(n, ⌈cv·x·ln(n+1)⌉) vertices a
+    * of least ([[repro.Hashing.priority]](seed, -2, a), a), a uniform
+    * t-subset of [1, n], in that order.
+    */
   val sampledVertices: Vector[Long] = {
-    val rng = new Random(seed)
-    val target = math.min(n, math.max(1L, math.ceil(cv * x * math.log(n.toDouble + 1)).toLong))
-    if (target >= n) (1L to n).toVector
-    else {
-      val seen = mutable.LinkedHashSet.empty[Long]
-      while (seen.size < target) seen += (rng.nextLong(n) + 1)
-      seen.toVector
-    }
+    val t = math.min(n, math.max(1L, math.ceil(cv * x * math.log(n.toDouble + 1)).toLong))
+    (1L to n).sortBy(a => (priority(seed, -2, a), a)).take(t.toInt).toVector
   }
 
   /** Samples each vertex sketch draws (its k). */

@@ -9,16 +9,17 @@ import repro.sketch.{TurnstileConfig, TurnstileND, TurnstileResult}
   *
   * It parallelizes over *sketches*: one Spark job runs a [[TurnstileND]]
   * shard per task over the broadcast ops (shard 0 also holds the edge
-  * sketch), and `reduce` adds the shards' samples. Each sketch still sees
-  * the whole stream in order, so the result equals the sequential
-  * `new TurnstileND(config)`'s — asserted in `SparkL0Spec`.
+  * sketch), with [[VertexPartitions.corePartitions]] tasks, and `reduce`
+  * adds the shards' samples. Each sketch still sees the whole stream in
+  * order, so the result equals the sequential `new TurnstileND(config)`'s
+  * — asserted in `SparkL0Spec`.
   */
 object SparkL0 {
 
   def run(spark: SparkSession, ops: Seq[StreamOp], config: TurnstileConfig): TurnstileResult = {
     ops.foreach(op => config.requireEdge(op.edge.a, op.edge.b)) // before any task fails on it
     val sc = spark.sparkContext
-    val parts = 4 * sc.defaultParallelism
+    val parts = VertexPartitions.corePartitions(spark)
     val bOps = sc.broadcast(ops.toArray)
     try {
       val samples = sc.parallelize(0 until parts, parts)

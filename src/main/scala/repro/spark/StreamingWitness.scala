@@ -1,8 +1,8 @@
 package repro.spark
 
 import java.nio.file.{Files, Path}
-import java.util.Comparator
 
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.execution.streaming.checkpointing.{FileSystemBasedCheckpointFileManager, OffsetSeqLog}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
@@ -115,7 +115,7 @@ object StreamingWitness {
     require(nBatches >= 1, s"nBatches must be >= 1, got $nBatches")
     val dir = checkpoint.getOrElse(Files.createTempDirectory(TempCheckpointPrefix))
     try runQuery(spark, records, nBatches, cfg, dir, checkpoint.flatMap(resumePoint(spark, _)))
-    finally if (checkpoint.isEmpty) deleteRecursively(dir)
+    finally if (checkpoint.isEmpty) FileUtils.deleteDirectory(dir.toFile)
   }
 
   private def runQuery(spark: SparkSession, records: Seq[WitnessRecord], nBatches: Int,
@@ -183,12 +183,6 @@ object StreamingWitness {
       case (batchId, offsets) =>
         (offsets.metadata.get.conf(SQLConf.SHUFFLE_PARTITIONS.key).toInt, batchId.toInt + 1)
     }
-
-  private def deleteRecursively(dir: Path): Unit = {
-    val paths = Files.walk(dir)
-    try paths.sorted(Comparator.reverseOrder[Path]()).forEach(Files.delete(_))
-    finally paths.close()
-  }
 
   /** End-to-end micro-batched execution: feed `records` in `nBatches`
     * micro-batches through the stateful query with [[latestShards]], then

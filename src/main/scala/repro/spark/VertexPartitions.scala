@@ -11,7 +11,8 @@ import org.apache.spark.sql.internal.SQLConf
 object VertexPartitions {
 
   /** min(session shuffle partitions, default parallelism): partitions
-    * beyond the core count only add per-partition work.
+    * beyond the core count only add per-partition work. Also the shard
+    * count of [[SparkL0]].
     */
   def corePartitions(spark: SparkSession): Int =
     math.min(spark.conf.get(SQLConf.SHUFFLE_PARTITIONS.key).toInt, spark.sparkContext.defaultParallelism)

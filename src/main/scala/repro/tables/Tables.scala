@@ -17,17 +17,14 @@ import org.apache.spark.sql.SparkSession
 object Tables {
 
   /** The SparkSession of the table runs and the test suites: master from
-    * SPARK_MASTER (default `local[*]`), shuffle partitions from
-    * SPARK_SHUFFLE_PARTITIONS (default 64), broadcast joins disabled so
-    * joins exercise the shuffle path, and WARN logging.
+    * SPARK_MASTER (default `local[*]`), 64 shuffle partitions, and WARN
+    * logging.
     */
   def session(appName: String): SparkSession = {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.sql.shuffle.partitions", 64)
       .getOrCreate()
     s.sparkContext.setLogLevel("WARN")
     s

@@ -1,9 +1,12 @@
 package repro
 
+import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicInteger
 
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.TestBus
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -13,26 +16,39 @@ import repro.tables.Tables
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). The session's settings are those of the table runner
-  * ([[repro.tables.Tables.session]]).
+  * SPARK_DRIVER_MEM. The session is the table runner's
+  * ([[repro.tables.Tables.session]]): master from SPARK_MASTER (default
+  * `local[*]`) and 64 shuffle partitions.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  /** Spark jobs started by `body`, with the listener bus drained before
-    * and after so that no other job's events are counted.
+  /** Runs `body` with `listener` added, with the listener bus drained
+    * before and after so that no other job's events reach it.
     */
-  def jobsOf(body: => Unit): Int = {
+  private def listening(listener: SparkListener)(body: => Unit): Unit = {
     val sc = spark.sparkContext
     TestBus.drain(sc)
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-    }
     sc.addSparkListener(listener)
     try { body; TestBus.drain(sc) } finally sc.removeSparkListener(listener)
+  }
+
+  /** Spark jobs started by `body`. */
+  def jobsOf(body: => Unit): Int = {
+    val jobs = new AtomicInteger
+    listening(new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    })(body)
     jobs.get
+  }
+
+  /** Task counts of the stages submitted by `body`, in submission order. */
+  def stageTasksOf(body: => Unit): Vector[Int] = {
+    val tasks = new ConcurrentLinkedQueue[Int]
+    listening(new SparkListener {
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = tasks.add(e.stageInfo.numTasks)
+    })(body)
+    tasks.asScala.toVector
   }
 
   override def afterAll(): Unit = { super.afterAll() }

@@ -59,6 +59,23 @@ class StarDetectionSpec extends SparkSpec {
       s"star size ${nb.size} below Delta/bound = $delta/$bound")
   }
 
+  test("guess g runs InsertionOnlyND.runs(guess, c, s, seed + g) on the doubled stream") {
+    val n = 128; val c = 3; val seed = 31L
+    val (edges, _, adj) = plantedStarGraph(n, 24, extraEdges = 6 * n, seed = 33)
+    val res = StarDetection.run(edges, n.toLong, c, eps = 0.5, seed)
+    val s = InsertionOnlyND.reservoirSize(n.toLong, c)
+    val doubled = edges.flatMap { case (u, v) => Vector(Edge(u, v), Edge(v, u)) }
+    val perGuess = res.guesses.zipWithIndex.map { case (dGuess, g) =>
+      val runs = InsertionOnlyND.runs(dGuess, c, s, seed + g)
+      InsertionOnlyND.feed(doubled, runs)
+      runs.flatMap(_.result()).sortBy(-_.size).headOption
+    }
+    assert(res.output == perGuess.flatten.sortBy(-_.size).headOption)
+    assert(res.perGuessSize == perGuess.map(_.fold(0)(_.size)))
+    // Several vertices could have been the output.
+    assert(adj.values.count(_.size >= res.output.get.size) > 1)
+  }
+
   test("output neighbors are real on a small hand graph") {
     val edges = Vector((1L, 2L), (1L, 3L), (1L, 4L), (2L, 3L))
     val res = StarDetection.run(edges, 4, c = 2, eps = 0.5, seed = 3)

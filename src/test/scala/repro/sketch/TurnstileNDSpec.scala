@@ -1,7 +1,6 @@
 package repro.sketch
 
-import repro.SparkSpec
-import repro.SynthGraphs
+import repro.{Hashing, SparkSpec, SynthGraphs}
 import repro.core.{Neighborhood, StreamOp}
 
 /** Tests for Algorithm 3 / Theorem 5.4 (turnstile Neighborhood Detection):
@@ -15,6 +14,18 @@ class TurnstileNDSpec extends SparkSpec {
     assert(c1.x == 50.0 && c1.dc == 10)
     val c2 = TurnstileConfig(100, 100, 20, 50, 1, 1.0, 1.0, 6)
     assert(c2.x == 10.0 && c2.dc == 1) // c > sqrt(n): x = sqrt(n)
+  }
+
+  test("A' is the t = min(n, ⌈cv·x·ln(n+1)⌉) vertices of least (priority(seed, -2, a), a)") {
+    // (n, c, cv, t < n): two samples of part of [1, n], two of all of it.
+    for ((n, c, cv, partial) <- Seq((64L, 2, 0.1, true), (200L, 8, 0.05, true),
+                                    (16L, 2, 1.0, false), (64L, 4, 1.0, false))) {
+      val cfg = TurnstileConfig(n, 4 * n, 8, c, seed = 5, cv = cv, ce = 1.0, buckets = 6)
+      val t = math.min(n, math.ceil(cv * cfg.x * math.log(n + 1.0)).toLong).toInt
+      assert((t < n) == partial, s"n=$n t=$t")
+      val want = (1L to n).map(a => (Hashing.priority(5, -2, a), a)).sorted.take(t).map(_._2)
+      assert(cfg.sampledVertices == want, s"n=$n t=$t")
+    }
   }
 
   test("edge coordinate round-trips") {

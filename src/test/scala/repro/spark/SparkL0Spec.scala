@@ -7,7 +7,8 @@ import repro.sketch.{TurnstileConfig, TurnstileND}
 /** The distributed sketch build must be bit-identical to the sequential
   * Algorithm 3 given the same config: each shard builds its samplers with
   * the whole sketch's seeds and feeds them the whole stream in order, so
-  * no sampler's final state can differ. A call is one Spark job.
+  * no sampler's final state can differ. A call is one Spark job of
+  * [[VertexPartitions.corePartitions]] tasks.
   */
 class SparkL0Spec extends SparkSpec {
 
@@ -32,6 +33,13 @@ class SparkL0Spec extends SparkSpec {
     val ops = instance(n, m, d, 0.3, seed = 60L + c)
     val cfg = TurnstileConfig(n, m, d, c, seed = 61L + c, cv = 1.0, ce = 0.3, buckets = 6)
     assert(jobsOf { SparkL0.run(spark, ops, cfg) } == 1)
+  }
+
+  test("a call's one stage runs corePartitions(spark) tasks") {
+    val n = 48L; val m = 192L; val d = 12
+    val ops = instance(n, m, d, 0.3, seed = 80)
+    val cfg = TurnstileConfig(n, m, d, 2, seed = 81, cv = 1.0, ce = 0.3, buckets = 6)
+    assert(stageTasksOf { SparkL0.run(spark, ops, cfg) } == Vector(VertexPartitions.corePartitions(spark)))
   }
 
   test("Spark build succeeds and validates on a turnstile planted star") {
