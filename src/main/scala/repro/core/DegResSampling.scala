@@ -23,9 +23,7 @@ final class DegreeTracker extends Serializable {
 
   def degree(a: Long): Int = deg.getOrElse(a, 0)
 
-  /** Number of vertices with at least one edge (n_0 in Theorem 3.2). */
-  def trackedVertices: Int = deg.size
-
+  /** One word per vertex with at least one edge (n_0 in Theorem 3.2). */
   def words: Long = deg.size.toLong
 }
 

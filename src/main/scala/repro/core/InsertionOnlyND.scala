@@ -131,13 +131,6 @@ object InsertionOnlyND {
           sOverride: Option[Int] = None): InsertionOnlyResult = {
     val s = checkedReservoirSize(n, d, c, sOverride)
     val rs = runs(d, c, s, seed)
-    val degrees = feed(edges, rs)
-    InsertionOnlyResult(
-      output        = pick(rs.map(_.result()), seed),
-      runSucceeded  = rs.map(_.succeeded),
-      reservoirSize = s,
-      runPeakWords  = rs.map(_.peakWords),
-      degreeWords   = degrees.words,
-    )
+    merge(Vector(shard(rs, feed(edges, rs))), c, s, targetSize(d, c), seed)
   }
 }

@@ -58,8 +58,8 @@ final class KSampler(val domain: Long, val seed: Long, val k: Int, val cells: In
   private val state = new Array[Array[Long]](levels)
   private val third = cells / 3
 
-  // u and f are L0Sampler's hashes, so that at k = 1 both return the same
-  // coordinate whenever both decode.
+  // The hash constants fix every seeded sketch output: Tables 4 and 7 and
+  // the seeded tests change if they do.
   @inline private[sketch] def uHash(x: Long): Long = splitmix64(seed ^ 0x51ed2701L ^ x)
   @inline private def fHash(x: Long): Long = splitmix64(seed ^ 0x7be03ca1L ^ x)
 

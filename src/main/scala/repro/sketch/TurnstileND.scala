@@ -27,7 +27,6 @@ final case class TurnstileResult(
     vertexSamplerWords: Long,
     edgeSamplerWords: Long,
     sampledVertices: Int,
-    edgeSamplers: Int,
     vertexDecodeFailures: Int,
     edgeDecodeFailures: Int,
 ) {
@@ -111,7 +110,7 @@ final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
     }
     TurnstileResult(out, strat,
       vertexHit.map(_.size), edgeHit.map(_.size),
-      samples.vertexWords, samples.edgeWords, sampledVertices.size, nEdgeSamplers,
+      samples.vertexWords, samples.edgeWords, sampledVertices.size,
       samples.vertexFailures, samples.edgeFailures)
   }
 }

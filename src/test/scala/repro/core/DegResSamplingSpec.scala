@@ -22,7 +22,6 @@ class DegResSamplingSpec extends SparkSpec {
     val edges = Seq(Edge(1, 1), Edge(1, 2), Edge(2, 1), Edge(1, 3))
     edges.foreach(e => t.bump(e.a))
     assert(t.degree(1) == 3 && t.degree(2) == 1 && t.degree(3) == 0)
-    assert(t.trackedVertices == 2)
     assert(t.words == 2)
   }
 

@@ -5,10 +5,10 @@ import scala.util.Random
 import repro.SparkSpec
 
 /** The k-sample ℓ₀-sketch: exact recovery of small supports, the bottom-k
-  * by u-hash of large ones, agreement with [[L0Sampler]] at k = 1,
-  * linearity, the three query results, and the cell floor of
-  * [[TurnstileConfig.cellsFor]]. Property-style tests use seeded random
-  * supports.
+  * by u-hash of large ones (k = 1 included) and of general turnstile
+  * vectors, near-uniform draws at k = 1, linearity, the three query
+  * results, and the cell floor of [[TurnstileConfig.cellsFor]].
+  * Property-style tests use seeded random supports.
   */
 class KSamplerSpec extends SparkSpec {
 
@@ -64,7 +64,7 @@ class KSamplerSpec extends SparkSpec {
     assert(failed <= 1, s"$failed/30 sketches failed")
   }
 
-  for (k <- Seq(4, 64, 512)) test(s"the sample is the bottom-k by u-hash of a 10k support (k=$k)") {
+  for (k <- Seq(1, 4, 64, 512)) test(s"the sample is the bottom-k by u-hash of a 10k support (k=$k)") {
     for (seed <- 1 to 10) {
       val rng = new Random(77L * k + seed)
       val xs = support(rng, 10000, 1L << 40)
@@ -74,20 +74,59 @@ class KSamplerSpec extends SparkSpec {
     }
   }
 
-  test("k = 1 draws what L0Sampler draws with the same domain and seed") {
-    var compared = 0
-    for (seed <- 1 to 200) {
+  test("k = 1 draws the least u-hash on 200 seeded supports") {
+    val failed = (1 to 200).count { seed =>
       val rng = new Random(seed * 7L)
       val xs = support(rng, 1 + rng.nextInt(100), 1L << 30)
-      val one = new L0Sampler(1L << 30, seed = 900L + seed)
       val s = sketch(1L << 30, seed = 900L + seed, k = 1)
-      xs.foreach { x => one.update(x, 1); s.update(x, 1) }
-      one.sample().foreach { x =>
-        assert(s.sample() == KSample.Drawn(Vector(x)), s"seed=$seed")
-        compared += 1
+      xs.foreach(x => s.update(x, 1))
+      val got = s.sample()
+      assert(got == KSample.Failed || got == KSample.Drawn(bottomK(s, xs)), s"seed=$seed")
+      got == KSample.Failed
+    }
+    assert(failed <= 1, s"$failed/200 sketches failed")
+  }
+
+  test("k = 1 draws are near-uniform over a fixed support") {
+    // Distinct seeds draw independent samples; each support coordinate
+    // should be hit ~ 1/|support| of the time.
+    val xs = (0L until 16L).map(_ * 37 + 5).toVector
+    val hits = scala.collection.mutable.Map.empty[Long, Int].withDefaultValue(0)
+    val trials = 2000
+    var succeeded = 0
+    for (t <- 1 to trials) {
+      val s = sketch(1000, seed = 31L * t, k = 1)
+      xs.foreach(x => s.update(x, 1))
+      s.sample() match {
+        case KSample.Drawn(Vector(x)) => hits(x) += 1; succeeded += 1
+        case other                    => assert(other == KSample.Failed, s"t=$t")
       }
     }
-    assert(compared >= 170, s"L0Sampler decoded only $compared/200")
+    assert(succeeded > trials * 9 / 10)
+    val expected = succeeded.toDouble / xs.size
+    xs.foreach { x =>
+      assert(math.abs(hits(x) - expected) < expected * 0.5 + 3 * math.sqrt(expected),
+        s"coordinate $x hit ${hits(x)} times, expected ~$expected")
+    }
+  }
+
+  // General turnstile vectors: each survivor's net count is one of ±2, 3,
+  // -5, 7, and each chaff coordinate goes to -2 before it is cancelled.
+  for (k <- Seq(1, 4)) test(s"net multiplicities other than ±1 are recovered exactly (k=$k)") {
+    val counts = Vector(2L, -2L, 3L, -5L, 7L)
+    val failed = (1 to 30).count { seed =>
+      val rng = new Random(3000L * k + seed)
+      val survivors = support(rng, 1 + rng.nextInt(40), 1L << 20)
+      val chaff = support(rng, 40, 1L << 20).filterNot(survivors.toSet)
+      val s = sketch(1L << 20, rng.nextLong(), k)
+      chaff.foreach(x => s.update(x, -2))
+      survivors.foreach(x => s.update(x, counts(rng.nextInt(counts.size))))
+      chaff.foreach(x => s.update(x, 2))
+      val got = s.sample()
+      assert(got == KSample.Failed || got == KSample.Drawn(bottomK(s, survivors)), s"seed=$seed")
+      got == KSample.Failed
+    }
+    assert(failed <= 1, s"$failed/30 sketches failed")
   }
 
   private def randomUpdates(rng: Random, n: Int, domain: Long): Vector[(Long, Long)] =
