@@ -88,6 +88,24 @@ object SynthGraphs {
     (rng.shuffle(b.result()), planted)
   }
 
+  /** Star Detection's general graph on 1..n: a star of degree `deg` at a
+    * uniform center plus up to `extra` uniform edges away from it, as
+    * undirected pairs in random stream order (Table 6, StarDetectionSpec).
+    */
+  def plantedStarGraph(n: Int, deg: Int, extra: Int, seed: Long): Vector[(Long, Long)] = {
+    val rng = new Random(seed)
+    val center = rng.nextInt(n).toLong + 1
+    val leaves = rng.shuffle((1L to n.toLong).filterNot(_ == center).toVector).take(deg)
+    val star = leaves.map(l => (center, l))
+    val others = Vector.fill(extra) {
+      val u = rng.nextInt(n).toLong + 1
+      var v = rng.nextInt(n).toLong + 1
+      while (v == u) v = rng.nextInt(n).toLong + 1
+      (math.min(u, v), math.max(u, v))
+    }.distinct.filterNot { case (u, v) => u == center || v == center }
+    rng.shuffle((star ++ others).distinct)
+  }
+
   /** Turnstile stream from a final graph: all final edges are inserted,
     * plus `chaffFraction * |E|` chaff edges (not in the final graph) that
     * are inserted and later deleted, in an interleaved random order with
@@ -144,16 +162,14 @@ object SynthGraphs {
     (shuffled, freq.toMap)
   }
 
-  /** Witness stream derived from TPC-H-lite lineitem: item = l_partkey,
-    * witness = unique row position (the "timestamp" of the order event).
-    * Ground-truth frequencies come from the same DataFrame and are
-    * oracle-checked against DuckDB in the test suite.
+  /** Witness stream from TPC-H-lite lineitem at SynthData's default seed:
+    * item = l_partkey, witness = unique row position (the "timestamp" of
+    * the order event). Ground-truth frequencies come from the same
+    * DataFrame and are oracle-checked against DuckDB in the test suite.
     */
-  def lineitemWitnessStream(spark: SparkSession, sf: Double, seed: Long = 0)
+  def lineitemWitnessStream(spark: SparkSession, sf: Double)
       : (Vector[WitnessRecord], Map[Long, Long]) = {
-    import org.apache.spark.sql.functions._
-    val li = SynthData.lineitem(spark, sf, seed).select(col("l_partkey"))
-    val rows = li.collect().map(_.getLong(0))
+    val rows = SynthData.lineitem(spark, sf).collect().map(_.getLong(0))
     val recs = rows.zipWithIndex.map { case (pk, i) => WitnessRecord(pk, i.toLong) }.toVector
     val freq = rows.groupBy(identity).map { case (k, v) => k -> v.length.toLong }
     (recs, freq)

@@ -42,14 +42,14 @@ object StarDetection {
     *
     * @param undirected stream of undirected edges as (u, v) pairs
     * @param n    |V|
-    * @param c    per-guess approximation factor (Corollary 3.3: ceil(log n))
+    * @param c    per-guess approximation factor >= 2 (Corollary 3.3: ceil(log n))
     * @param eps  geometric ladder step
     * @param seed priority seed of the first guess's runs; guess g's is seed + g
     */
-  def run(undirected: IterableOnce[(Long, Long)], n: Long, c: Int,
-          eps: Double = 0.5, seed: Long = 17L): StarResult = {
+  def run(undirected: IterableOnce[(Long, Long)], n: Long, c: Int, eps: Double,
+          seed: Long): StarResult = {
     val guesses = guessLadder(n, eps)
-    val s       = InsertionOnlyND.reservoirSize(n, c)
+    val s = InsertionOnlyND.checkedReservoirSize(n, d = guesses.head, c, sOverride = None)
     // Algorithm 2's c runs per guess g, seeded seed + g, all fed the
     // doubled stream; every guess sees the same degrees, so one degree
     // table serves them all.
@@ -58,15 +58,15 @@ object StarDetection {
     }
     val doubled = undirected.iterator.flatMap { case (u, v) => Iterator(Edge(u, v), Edge(v, u)) }
     val degrees = InsertionOnlyND.feed(doubled, runsPerGuess.flatten)
-    val perGuessBest = runsPerGuess.map { runs =>
-      runs.flatMap(_.result()).sortBy(-_.size).headOption
+    val perGuess = runsPerGuess.zip(guesses).zipWithIndex.map { case ((runs, dGuess), g) =>
+      InsertionOnlyND.merge(Vector(InsertionOnlyND.shard(runs, degrees)), c, s,
+        InsertionOnlyND.targetSize(dGuess, c), seed + g)
     }
-    val best = perGuessBest.flatten.sortBy(-_.size).headOption
     StarResult(
-      output       = best,
+      output       = perGuess.flatMap(_.output).maxByOption(_.size),
       guesses      = guesses,
-      perGuessSize = perGuessBest.map(_.map(_.size).getOrElse(0)),
-      totalPeakWords = degrees.words + runsPerGuess.flatten.map(_.peakWords).sum,
+      perGuessSize = perGuess.map(_.output.fold(0)(_.size)),
+      totalPeakWords = degrees.words + perGuess.map(_.runPeakWords.sum).sum,
     )
   }
 }

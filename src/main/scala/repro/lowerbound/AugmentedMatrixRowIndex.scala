@@ -64,8 +64,8 @@ object AugmentedMatrixRowIndex {
     def bit(i: Int, j: Int): Boolean = inst.x(i - 1)(j - 1) ^ invert
     val perms: Map[Int, Vector[Int]] =
       (1 to n).map(i => i -> rng.shuffle((1 to m).toVector)).toMap
-    val inv: Map[Int, Map[Int, Int]] =
-      perms.map { case (i, p) => i -> p.zipWithIndex.map { case (col, idx) => (col, idx + 1) }.toMap }
+    // Bob maps only row J's permuted columns back to their columns.
+    val invJ = perms(inst.j).zipWithIndex.map { case (col, idx) => (col, idx + 1) }.toMap
     // Alice: insert permuted 1-entries of every row.
     val inserts = for {
       i <- (1 to n).iterator; j <- (1 to m).iterator if bit(i, j)
@@ -84,7 +84,7 @@ object AugmentedMatrixRowIndex {
     val res = alg.result()
     val learned = res.output match {
       case Some(nb) if nb.a == inst.j.toLong =>
-        nb.neighbors.flatMap(b => inv(inst.j).get(b.toInt)).toSet
+        nb.neighbors.flatMap(b => invJ.get(b.toInt)).toSet
       case _ => Set.empty[Int]
     }
     (learned, res.totalWords)

@@ -18,25 +18,26 @@ object Table1InsertionOnly {
     ("uniform", (n, s) => SynthGraphs.uniformPlusPlanted(n, 4 * n, d, bg = d / 4 - 1, s)),
   )
 
-  def run(ns: Seq[Long] = Seq(1000L, 4000L), ds: Seq[Int] = Seq(64),
-          cs: Seq[Int] = Seq(2, 3, 4), trials: Int = 30): TableOutput = {
+  private val D      = 64
+  private val Trials = 30
+
+  def run(): TableOutput = {
     val cells = for {
-      d <- ds
-      (fam, mk) <- families(d)
-      n <- ns
-      c <- cs
+      (fam, mk) <- families(D)
+      n <- Seq(1000L, 4000L)
+      c <- Seq(2, 3, 4)
     } yield {
       var succ = 0; var valid = 0; var sizeOk = 0
-      for (t <- 1 to trials) {
+      for (t <- 1 to Trials) {
         val (edges, _) = mk(n, 1000L * t + 31L * c + n)
-        val res = InsertionOnlyND.run(edges, n, d, c, seed = 77L * t + c)
+        val res = InsertionOnlyND.run(edges, n, D, c, seed = 77L * t + c)
         res.output.foreach { nb =>
           succ += 1
           if (Neighborhood.isValid(nb, SynthGraphs.adjacency(edges))) valid += 1
-          if (nb.size == InsertionOnlyND.targetSize(d, c)) sizeOk += 1
+          if (nb.size == InsertionOnlyND.targetSize(D, c)) sizeOk += 1
         }
       }
-      Cell(fam, n, d, c, trials, succ, valid, sizeOk)
+      Cell(fam, n, D, c, Trials, succ, valid, sizeOk)
     }
     val rows = cells.map { cl =>
       Vector(cl.family, cl.n.toString, cl.d.toString, cl.c.toString,

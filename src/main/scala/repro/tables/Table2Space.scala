@@ -13,15 +13,18 @@ object Table2Space {
   final case class Cell(n: Long, d: Int, c: Int, algWords: Long, exactWords: Long,
                         budgetWords: Long, ratioVsExact: Double)
 
-  def run(n: Long = 10000L, d: Int = 256, cs: Seq[Int] = Seq(2, 3, 4, 6),
-          seed: Long = 7L): TableOutput = {
-    val (edges, _) = SynthGraphs.plantedStar(n, 4 * n, d, maxBg = 32, seed)
-    val exact = new ExactND(d).processAll(edges)
-    val cells = cs.map { c =>
-      val res = InsertionOnlyND.run(edges, n, d, c, seed = seed + c)
-      val s = InsertionOnlyND.reservoirSize(n, c)
-      val budget = n + c.toLong * s * (1 + InsertionOnlyND.targetSize(d, c))
-      Cell(n, d, c, res.totalPeakWords, exact.peakWords, budget,
+  private val N    = 10000L
+  private val D    = 256
+  private val Seed = 7L
+
+  def run(): TableOutput = {
+    val (edges, _) = SynthGraphs.plantedStar(N, 4 * N, D, maxBg = 32, Seed)
+    val exact = new ExactND(D).processAll(edges)
+    val cells = Seq(2, 3, 4, 6).map { c =>
+      val res = InsertionOnlyND.run(edges, N, D, c, seed = Seed + c)
+      val s = InsertionOnlyND.reservoirSize(N, c)
+      val budget = N + c.toLong * s * (1 + InsertionOnlyND.targetSize(D, c))
+      Cell(N, D, c, res.totalPeakWords, exact.peakWords, budget,
         res.totalPeakWords.toDouble / exact.peakWords)
     }
     val rows = cells.map { cl =>

@@ -12,24 +12,27 @@ object Table3DegRes {
 
   final case class Cell(n1: Int, n2: Int, s: Int, trials: Int, successes: Int, bound: Double)
 
-  def run(grid: Seq[(Int, Int, Int)] = Seq(
-            (100, 5, 10), (100, 10, 10), (100, 20, 10),
-            (200, 5, 30), (200, 20, 30), (400, 10, 50), (50, 50, 5)),
-          d1: Int = 3, d2: Int = 4, trials: Int = 200): TableOutput = {
-    val cells = grid.map { case (n1, n2, s) =>
+  private val D1     = 3
+  private val D2     = 4
+  private val Trials = 200
+
+  def run(): TableOutput = {
+    val cells = Seq(
+      (100, 5, 10), (100, 10, 10), (100, 20, 10),
+      (200, 5, 30), (200, 20, 30), (400, 10, 50), (50, 50, 5)).map { case (n1, n2, s) =>
       val bound = 1.0 - math.pow(1.0 - s.toDouble / n1, n2.toDouble)
       var succ = 0
-      for (t <- 1 to trials) {
+      for (t <- 1 to Trials) {
         val rng = new Random(7000L * n1 + 31L * t + s)
         val edges = rng.shuffle((1 to n1).flatMap { a =>
-          val deg = if (a <= n2) d1 + d2 - 1 else d1
+          val deg = if (a <= n2) D1 + D2 - 1 else D1
           (1 to deg).map(i => Edge(a.toLong, a * 1000L + i))
         }.toVector)
-        val alg = new DegResSampling(d1, d2, s, seed = 13L * t + n1, run = 0)
+        val alg = new DegResSampling(D1, D2, s, seed = 13L * t + n1, run = 0)
         InsertionOnlyND.feed(edges, Vector(alg))
         if (alg.succeeded) succ += 1
       }
-      Cell(n1, n2, s, trials, succ, bound)
+      Cell(n1, n2, s, Trials, succ, bound)
     }
     val rows = cells.map { cl =>
       Vector(cl.n1.toString, cl.n2.toString, cl.s.toString,

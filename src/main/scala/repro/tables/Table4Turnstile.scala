@@ -23,38 +23,45 @@ object Table4Turnstile {
                         trials: Int, successes: Int, valid: Int, vertexOk: Int, edgeOk: Int,
                         vertexFailures: Int, edgeFailures: Int, avgWords: Long, peakWords: Long)
 
+  private val N      = 512L
+  private val M      = 4096L
+  private val D      = 32
+  private val Cs     = Seq(2, 4, 8)
+  private val Chaff  = 0.3
+  private val Trials = 3
+  private val Cv     = 0.5
+  private val Ce     = 0.2
+
   /** Many-heavy: >= n/x vertices of degree >= d/c (Lemma 5.2 regime).
     * Single-heavy: one planted degree-d vertex, background degree 1-2
     * (Lemma 5.3 regime).
     */
-  private def instance(regime: String, n: Long, m: Long, d: Int, c: Int, seed: Long)
-      : Vector[Edge] = regime match {
+  private def instance(regime: String, c: Int, seed: Long): Vector[Edge] = regime match {
     case "many-heavy" =>
       val rng = new Random(seed)
-      val x = math.max(n.toDouble / c, math.sqrt(n.toDouble))
-      val nHeavy = math.min(n, math.max(2L, math.ceil(2 * n / x).toLong))
-      rng.shuffle((1L to n).flatMap { a =>
-        val deg = if (a <= nHeavy) d else 2
-        (1 to deg).map(i => Edge(a, ((a * 7919 + i * 104729) % m) + 1))
+      val x = math.max(N.toDouble / c, math.sqrt(N.toDouble))
+      val nHeavy = math.min(N, math.max(2L, math.ceil(2 * N / x).toLong))
+      rng.shuffle((1L to N).flatMap { a =>
+        val deg = if (a <= nHeavy) D else 2
+        (1 to deg).map(i => Edge(a, ((a * 7919 + i * 104729) % M) + 1))
       }.toVector).distinct
     case "single-heavy" =>
-      SynthGraphs.uniformPlusPlanted(n, m, d, bg = 2, seed)._1
+      SynthGraphs.uniformPlusPlanted(N, M, D, bg = 2, seed)._1
     case other => throw new IllegalArgumentException(s"unknown regime $other")
   }
 
-  private def block(spark: SparkSession, n: Long, m: Long, d: Int, cs: Seq[Int],
-                    chaff: Double, trials: Int, cv: Double, ce: Double): Seq[Cell] =
+  private def block(spark: SparkSession, cv: Double, ce: Double): Seq[Cell] =
     for {
       regime <- Seq("many-heavy", "single-heavy")
-      c <- cs
+      c <- Cs
     } yield {
       var succ = 0; var valid = 0; var vOk = 0; var eOk = 0; var vFail = 0; var eFail = 0
       var words = 0L; var peak = 0L
-      for (t <- 1 to trials) {
-        val edges = instance(regime, n, m, d, c, seed = 100L * t + c)
-        val ops = SynthGraphs.turnstileFrom(edges, m, chaff, seed = 200L * t + c)
+      for (t <- 1 to Trials) {
+        val edges = instance(regime, c, seed = 100L * t + c)
+        val ops = SynthGraphs.turnstileFrom(edges, M, Chaff, seed = 200L * t + c)
         val adj = SynthGraphs.adjacencyOf(ops)
-        val cfg = TurnstileConfig(n, m, d, c, seed = 300L * t + c, cv, ce, buckets = 6)
+        val cfg = TurnstileConfig(N, M, D, c, seed = 300L * t + c, cv, ce, buckets = 6)
         val res = SparkL0.run(spark, ops, cfg)
         words += res.totalWords
         peak = math.max(peak, res.totalWords)
@@ -67,17 +74,15 @@ object Table4Turnstile {
           if (Neighborhood.isValid(nb, adj)) valid += 1
         }
       }
-      Cell(regime, cv, ce, n, d, c, trials, succ, valid, vOk, eOk, vFail, eFail, words / trials, peak)
+      Cell(regime, cv, ce, N, D, c, Trials, succ, valid, vOk, eOk, vFail, eFail, words / Trials, peak)
     }
 
-  def run(spark: SparkSession, n: Long = 512L, m: Long = 4096L, d: Int = 32,
-          cs: Seq[Int] = Seq(2, 4, 8), chaff: Double = 0.3, trials: Int = 3,
-          cv: Double = 0.5, ce: Double = 0.2): TableOutput = {
-    val cells = block(spark, n, m, d, cs, chaff, trials, cv, ce)
+  def run(spark: SparkSession): TableOutput = {
+    val cells = block(spark, Cv, Ce)
     val t0 = System.nanoTime()
-    val paper = block(spark, n, m, d, cs, chaff, trials, cv = 10.0, ce = 10.0)
+    val paper = block(spark, cv = 10.0, ce = 10.0)
     val paperSeconds = (System.nanoTime() - t0) / 1e9
-    val theory = cs.map(c => c -> (n.toDouble * d / (c.toDouble * c))).toMap
+    val theory = Cs.map(c => c -> (N.toDouble * D / (c.toDouble * c))).toMap
     val rows = (cells ++ paper).map { cl =>
       Vector(cl.regime, s"${cl.cv}/${cl.ce}", cl.n.toString, cl.d.toString, cl.c.toString,
         s"${cl.successes}/${cl.trials}", s"${cl.valid}/${cl.successes}",
@@ -109,7 +114,7 @@ object Table4Turnstile {
               case Seq(a, b) => b.avgWords < a.avgWords; case _ => true })),
       ),
       notes = Vector(
-        s"checks read the cv/ce = $cv/$ce block (paper uses 10/10 for whp proofs); chaff=$chaff of edges inserted+deleted.",
+        s"checks read the cv/ce = $Cv/$Ce block (paper uses 10/10 for whp proofs); chaff=$Chaff of edges inserted+deleted.",
         "vFail/eFail: vertex / edge sketches that failed to decode, summed over the trials.",
         f"paper-constant block: $paperSeconds%.1f s, peak words ${TableFormat.words(paper.map(_.peakWords).max)}."),
     )

@@ -20,19 +20,20 @@ object Table5Witness {
                        freq: Long, witnesses: Int, witnessesValid: Boolean,
                        words: Long)
 
-  def run(spark: SparkSession, nItems: Long = 2000L, total: Long = 200000L,
-          alpha: Double = 1.1, cs: Seq[Int] = Seq(2, 4),
-          lineitemSf: Double = 0.02, streamTotal: Long = 30000L): TableOutput = {
+  private val NItems = 2000L
+  private val Alpha  = 1.1
+
+  def run(spark: SparkSession): TableOutput = {
     val rows = Vector.newBuilder[Row]
     val checks = Vector.newBuilder[(String, Boolean)]
 
     // ---- Zipf workload: sequential algorithm vs baselines -----------------
-    val (recs, freq) = SynthGraphs.zipfWitnessStream(nItems, total, alpha, seed = 1)
+    val (recs, freq) = SynthGraphs.zipfWitnessStream(NItems, total = 200000L, Alpha, seed = 1)
     val d = freq.values.max.toInt
     val trueTop = freq.maxBy(_._2)._1
 
-    for (c <- cs) {
-      val (report, res) = FrequentWitness.runDetailed(recs, nItems, d, c, seed = 10L + c)
+    for (c <- Seq(2, 4)) {
+      val (report, res) = FrequentWitness.runDetailed(recs, NItems, d, c, seed = 10L + c)
       val r = report.get
       val trueW = recs.filter(_.item == r.item).map(_.witness).toSet
       val valid = r.witnesses.forall(trueW.contains)
@@ -45,7 +46,7 @@ object Table5Witness {
     }
 
     // Baselines with comparable counter budgets.
-    val k = InsertionOnlyND.reservoirSize(nItems, 2)
+    val k = InsertionOnlyND.reservoirSize(NItems, 2)
     val mg = new MisraGries(k).processAll(recs.iterator.map(_.item))
     rows += Row("zipf", "misra-gries", "-", mg.candidates.head._1.toString,
       freq.getOrElse(mg.candidates.head._1, 0L), 0, witnessesValid = true, mg.peakWords)
@@ -66,9 +67,9 @@ object Table5Witness {
       exact.peakWords.toDouble / rows.result().head.words >= 3.0))
 
     // ---- Structured Streaming operator (micro-batched) --------------------
-    val (sRecs, sFreq) = SynthGraphs.zipfWitnessStream(nItems, streamTotal, alpha, seed = 2)
+    val (sRecs, sFreq) = SynthGraphs.zipfWitnessStream(NItems, total = 30000L, Alpha, seed = 2)
     val sd = sFreq.values.max.toInt
-    val cfg = StreamingWitness.Config(nItems, sd, c = 2, seed = 21)
+    val cfg = StreamingWitness.Config(NItems, sd, c = 2, seed = 21)
     val shards = StreamingWitness.latestShards(spark, sRecs, nBatches = 8, cfg)
     val sRes = InsertionOnlyND.merge(shards, cfg.c, cfg.s, cfg.d2, cfg.seed)
     val sRep = FrequentWitness.report(sRes)
@@ -79,7 +80,7 @@ object Table5Witness {
       sRes.totalPeakWords)
     checks += (("T5: streaming operator reports floor(d/c) valid witnesses",
       sR.witnessCount == sd / 2 && sR.witnesses.forall(sTrueW.contains)))
-    val (seqRep, seqRes) = FrequentWitness.runDetailed(sRecs, nItems, sd, c = 2, seed = 21)
+    val (seqRep, seqRes) = FrequentWitness.runDetailed(sRecs, NItems, sd, c = 2, seed = 21)
     checks += (("T5: streaming report equals the sequential algorithm's for seed 21",
       sRep == seqRep))
     // The state held across all P partitions: each shard's degree table
@@ -91,7 +92,7 @@ object Table5Witness {
       heldWords <= stateBound))
 
     // ---- TPC-H-lite workload ---------------------------------------------
-    val (liRecs, liFreq) = SynthGraphs.lineitemWitnessStream(spark, lineitemSf)
+    val (liRecs, liFreq) = SynthGraphs.lineitemWitnessStream(spark, sf = 0.02)
     val ld = liFreq.values.max.toInt
     val (liRep, liRes) = FrequentWitness.runDetailed(
       liRecs, liFreq.keys.max, ld, c = 2, seed = 31)

@@ -1,7 +1,6 @@
 package repro.tables
 
-import scala.util.Random
-
+import repro.SynthGraphs
 import repro.core.StarDetection
 
 /** Table 6 — Star Detection (Corollary 3.3): measured approximation ratio
@@ -13,34 +12,19 @@ object Table6Star {
   final case class Cell(n: Int, delta: Int, c: Int, outSize: Int, ratio: Double,
                         bound: Double, words: Long)
 
-  private def graph(n: Int, deg: Int, extra: Int, seed: Long)
-      : (Vector[(Long, Long)], Int) = {
-    val rng = new Random(seed)
-    val center = rng.nextInt(n).toLong + 1
-    val leaves = rng.shuffle((1L to n.toLong).filterNot(_ == center).toVector).take(deg)
-    val star = leaves.map(l => (center, l))
-    val others = Vector.fill(extra) {
-      val u = rng.nextInt(n).toLong + 1
-      var v = rng.nextInt(n).toLong + 1
-      while (v == u) v = rng.nextInt(n).toLong + 1
-      (math.min(u, v), math.max(u, v))
-    }.distinct.filterNot { case (u, v) => u == center || v == center }
-    val edges = rng.shuffle((star ++ others).distinct)
-    val delta = edges.flatMap { case (u, v) => Seq(u, v) }
-      .groupBy(identity).values.map(_.size).max
-    (edges, delta)
-  }
+  private val Eps = 0.5
 
-  def run(ns: Seq[Int] = Seq(512, 2048), degs: Seq[Int] = Seq(64, 128),
-          eps: Double = 0.5): TableOutput = {
-    val cells = for (n <- ns; deg <- degs) yield {
+  def run(): TableOutput = {
+    val cells = for (n <- Seq(512, 2048); deg <- Seq(64, 128)) yield {
       val c = math.ceil(math.log(n.toDouble)).toInt
-      val (edges, delta) = graph(n, deg, extra = 4 * n, seed = n * 31L + deg)
-      val res = StarDetection.run(edges, n.toLong, c, eps, seed = deg * 13L)
+      val edges = SynthGraphs.plantedStarGraph(n, deg, extra = 4 * n, seed = n * 31L + deg)
+      val delta = edges.flatMap { case (u, v) => Seq(u, v) }
+        .groupBy(identity).values.map(_.size).max
+      val res = StarDetection.run(edges, n.toLong, c, Eps, seed = deg * 13L)
       val size = res.output.map(_.size).getOrElse(0)
       Cell(n, delta, c, size,
         if (size == 0) Double.PositiveInfinity else delta.toDouble / size,
-        (1 + eps) * c, res.totalPeakWords)
+        (1 + Eps) * c, res.totalPeakWords)
     }
     TableOutput(
       title = "Table 6: Star Detection (paper: (1+eps)*ceil(log n)-approx, semi-streaming space)",

@@ -8,14 +8,16 @@ import repro.lowerbound.{AugmentedMatrixRowIndex, BitVectorLearning, SetDisjoint
   */
 object Table7LowerBound {
 
-  def run(trials: Int = 5): TableOutput = {
+  private val Trials = 5
+
+  def run(): TableOutput = {
     val rows = Vector.newBuilder[Vector[String]]
     val checks = Vector.newBuilder[(String, Boolean)]
 
     // (a) Bit-Vector Learning(p=3) via streaming simulation.
     for (r <- Seq(6, 10)) {
       var solved = 0; var words = 0L; var bits = 0
-      for (t <- 1 to trials) {
+      for (t <- 1 to Trials) {
         val inst = BitVectorLearning.sample(p = 3, r = r, k = 16, seed = 1000L * r + t)
         val out = BitVectorLearning.simulate(inst, seed = 2000L * r + t)
         if (out.solved) solved += 1
@@ -23,18 +25,18 @@ object Table7LowerBound {
       }
       val n = math.pow(r.toDouble, 2).round
       val floor = BitVectorLearning.lowerBoundWords(3, n, 16)
-      rows += Vector("BitVectorLearning", s"p=3 n=$n k=16", s"$solved/$trials",
-        (bits / trials).toString, TableFormat.words(words / trials),
+      rows += Vector("BitVectorLearning", s"p=3 n=$n k=16", s"$solved/$Trials",
+        (bits / Trials).toString, TableFormat.words(words / Trials),
         TableFormat.words(floor.toLong))
       checks += ((s"T7a BVL n=$n: protocol solves all trials (>=1.01k correct bits)",
-        solved == trials))
+        solved == Trials))
       checks += ((s"T7a BVL n=$n: measured state >= information floor",
-        words / trials >= floor.toLong))
+        words / Trials >= floor.toLong))
     }
 
     // (b) multi-party Set-Disjointness decided by output size.
     var disjOk = 0; var interOk = 0; var sdWords = 0L
-    for (t <- 1 to trials) {
+    for (t <- 1 to Trials) {
       val di = SetDisjointnessRed.sampleDisjoint(3, 48, 8, seed = 100L + t)
       val dd = SetDisjointnessRed.simulate(di, k = 8, seed = 200L + t)
       if (!dd.saidIntersecting) disjOk += 1
@@ -44,15 +46,15 @@ object Table7LowerBound {
       sdWords += dd.stateWords + id.stateWords
     }
     rows += Vector("SetDisjointness", "p=3 n=48 k=8",
-      s"${disjOk + interOk}/${2 * trials}", "-", TableFormat.words(sdWords / (2 * trials)),
+      s"${disjOk + interOk}/${2 * Trials}", "-", TableFormat.words(sdWords / (2 * Trials)),
       TableFormat.words((48.0 / 9).toLong))
     checks += (("T7b Set-Disjointness: all decisions correct",
-      disjOk == trials && interOk == trials))
+      disjOk == Trials && interOk == Trials))
 
     // (c) Augmented-Matrix-Row-Index via the permuted turnstile protocol.
     val d = 8; val c = 2
     var rowOk = 0; var amriWords = 0L
-    for (t <- 1 to trials) {
+    for (t <- 1 to Trials) {
       val inst = AugmentedMatrixRowIndex.sample(n = 12, m = 2 * d, k = d / c - 1, seed = 500L + t)
       val reps = (c * math.log(inst.n.toDouble) * 2).toInt
       val res = AugmentedMatrixRowIndex.runProtocol(inst, d, c, reps, seed = 600L + t)
@@ -61,11 +63,11 @@ object Table7LowerBound {
     }
     val amriFloor = AugmentedMatrixRowIndex.lowerBoundWords(12, d, c)
     rows += Vector("AugMatrixRowIndex", s"n=12 m=16 k=3 (d=8,c=2)",
-      s"$rowOk/$trials", "-", TableFormat.words(amriWords / trials),
+      s"$rowOk/$Trials", "-", TableFormat.words(amriWords / Trials),
       TableFormat.words(amriFloor.toLong))
-    checks += (("T7c AMRI: full row recovered in all trials", rowOk == trials))
+    checks += (("T7c AMRI: full row recovered in all trials", rowOk == Trials))
     checks += (("T7c AMRI: protocol message words >= Theorem 6.4 floor",
-      amriWords / trials >= amriFloor.toLong))
+      amriWords / Trials >= amriFloor.toLong))
 
     TableOutput(
       title = "Table 7: lower-bound reductions executed end-to-end (paper: Thm 4.7/4.8, Thm 4.1, Lemma 6.3/Thm 6.4)",

@@ -3,23 +3,20 @@ package repro
 import repro.core.{InsertionOnlyND, Neighborhood}
 import repro.sketch.{TurnstileConfig, TurnstileND}
 import repro.lowerbound.BitVectorLearning
+import repro.tables.Table1InsertionOnly
 
 /** Broad parameter-grid suites: every cell is an individual test so a
   * regression pinpoints the exact (family, n, d, c, seed) that broke.
   */
 class InsertionOnlyGridSpec extends SparkSpec {
   for {
-    (family, mk) <- Seq[(String, (Long, Int, Long) => (Vector[core.Edge], Long))](
-      ("planted", (n, d, s) => SynthGraphs.plantedStar(n, 4 * n, d, math.max(1, d / 4), s)),
-      ("zipf",    (n, d, s) => SynthGraphs.zipfDegrees(n, 4 * n, d, 1.0, 1, s)),
-      ("uniform", (n, d, s) => SynthGraphs.uniformPlusPlanted(n, 4 * n, d, math.max(1, d / 4 - 1), s)),
-    )
-    n <- Seq(64L, 128L)
     d <- Seq(16, 32)
+    (family, mk) <- Table1InsertionOnly.families(d)
+    n <- Seq(64L, 128L)
     c <- Seq(2, 3)
     seed <- Seq(1L, 2L)
   } test(s"grid $family n=$n d=$d c=$c seed=$seed: valid floor(d/c) output") {
-    val (edges, _) = mk(n, d, 1000 * seed + n + d + c)
+    val (edges, _) = mk(n, 1000 * seed + n + d + c)
     val res = InsertionOnlyND.run(edges, n, d, c, seed = 31 * seed + c)
     assert(res.succeeded, "promise holds so the run must succeed whp")
     val nb = res.output.get

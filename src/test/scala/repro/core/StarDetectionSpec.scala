@@ -1,32 +1,21 @@
 package repro.core
 
-import scala.util.Random
-
-import repro.SparkSpec
+import repro.{SparkSpec, SynthGraphs}
 
 /** Tests for Corollary 3.3 (Star Detection via doubled edges + geometric
   * degree guesses).
   */
 class StarDetectionSpec extends SparkSpec {
 
-  /** A random graph plus one planted star of degree exactly `deg`. */
+  /** Table 6's planted general graph and its adjacency, both directions. */
   private def plantedStarGraph(n: Int, deg: Int, extraEdges: Int, seed: Long)
-      : (Vector[(Long, Long)], Long, Map[Long, Set[Long]]) = {
-    val rng = new Random(seed)
-    val center = rng.nextInt(n).toLong + 1
-    val leaves = rng.shuffle((1L to n.toLong).filterNot(_ == center).toVector).take(deg)
-    val star   = leaves.map(l => (center, l))
-    val others = Vector.fill(extraEdges) {
-      val u = rng.nextInt(n).toLong + 1
-      var v = rng.nextInt(n).toLong + 1
-      while (v == u) v = rng.nextInt(n).toLong + 1
-      (math.min(u, v), math.max(u, v))
-    }.distinct.filterNot { case (u, v) => u == center || v == center }
-    val edges = rng.shuffle((star ++ others).distinct)
-    val adj = edges.flatMap { case (u, v) => Seq(u -> v, v -> u) }
-      .groupBy(_._1).map { case (k, vs) => k -> vs.map(_._2).toSet }
-    (edges, center, adj)
+      : (Vector[(Long, Long)], Map[Long, Set[Long]]) = {
+    val edges = SynthGraphs.plantedStarGraph(n, deg, extraEdges, seed)
+    (edges, SynthGraphs.adjacency(doubled(edges)))
   }
+
+  private def doubled(edges: Seq[(Long, Long)]): Vector[Edge] =
+    edges.iterator.flatMap { case (u, v) => Iterator(Edge(u, v), Edge(v, u)) }.toVector
 
   test("guess ladder covers [1, n] geometrically without duplicates") {
     val g = StarDetection.guessLadder(1000, 0.5)
@@ -48,7 +37,7 @@ class StarDetectionSpec extends SparkSpec {
     deg <- Seq(24, 48)
   } test(s"finds a star within the (1+eps)c guarantee (n=$n, deg=$deg)") {
     val c = math.ceil(math.log(n.toDouble)).toInt
-    val (edges, _, adj) = plantedStarGraph(n, deg, extraEdges = 2 * n, seed = n * 31L + deg)
+    val (edges, adj) = plantedStarGraph(n, deg, extraEdges = 2 * n, seed = n * 31L + deg)
     val res = StarDetection.run(edges, n.toLong, c, eps = 0.5, seed = deg * 7L)
     assert(res.output.nonEmpty, "must report some star")
     val nb = res.output.get
@@ -59,21 +48,23 @@ class StarDetectionSpec extends SparkSpec {
       s"star size ${nb.size} below Delta/bound = $delta/$bound")
   }
 
-  test("guess g runs InsertionOnlyND.runs(guess, c, s, seed + g) on the doubled stream") {
+  test("guess g is InsertionOnlyND.run(doubled, seed + g); first largest wins") {
     val n = 128; val c = 3; val seed = 31L
-    val (edges, _, adj) = plantedStarGraph(n, 24, extraEdges = 6 * n, seed = 33)
+    val (edges, adj) = plantedStarGraph(n, 24, extraEdges = 6 * n, seed = 33)
     val res = StarDetection.run(edges, n.toLong, c, eps = 0.5, seed)
-    val s = InsertionOnlyND.reservoirSize(n.toLong, c)
-    val doubled = edges.flatMap { case (u, v) => Vector(Edge(u, v), Edge(v, u)) }
     val perGuess = res.guesses.zipWithIndex.map { case (dGuess, g) =>
-      val runs = InsertionOnlyND.runs(dGuess, c, s, seed + g)
-      InsertionOnlyND.feed(doubled, runs)
-      runs.flatMap(_.result()).sortBy(-_.size).headOption
+      InsertionOnlyND.run(doubled(edges), n.toLong, dGuess, c, seed + g).output
     }
-    assert(res.output == perGuess.flatten.sortBy(-_.size).headOption)
     assert(res.perGuessSize == perGuess.map(_.fold(0)(_.size)))
+    assert(res.output == perGuess.flatten.maxByOption(_.size))
     // Several vertices could have been the output.
     assert(adj.values.count(_.size >= res.output.get.size) > 1)
+  }
+
+  test("rejects c < 2, naming the value") {
+    val e = intercept[IllegalArgumentException](
+      StarDetection.run(Vector((1L, 2L)), n = 2, c = 1, eps = 0.5, seed = 1))
+    assert(e.getMessage.contains("approximation factor must be >= 2, got 1"))
   }
 
   test("output neighbors are real on a small hand graph") {
@@ -85,7 +76,7 @@ class StarDetectionSpec extends SparkSpec {
   }
 
   test("per-guess sizes are monotone in what each guess can certify") {
-    val (edges, _, _) = plantedStarGraph(200, 40, extraEdges = 200, seed = 9)
+    val (edges, _) = plantedStarGraph(200, 40, extraEdges = 200, seed = 9)
     val res = StarDetection.run(edges, 200, c = 4, eps = 0.5, seed = 11)
     // Every successful guess g yields a neighborhood of exactly
     // max(1, floor(g/c)) — the target size for that guess.
@@ -106,7 +97,7 @@ class StarDetectionSpec extends SparkSpec {
 
   test("semi-streaming space: words are O(n polylog) not O(n * Delta)") {
     val n = 256
-    val (edges, _, adj) = plantedStarGraph(n, 64, extraEdges = 4 * n, seed = 21)
+    val (edges, adj) = plantedStarGraph(n, 64, extraEdges = 4 * n, seed = 21)
     val c = math.ceil(math.log(n.toDouble)).toInt
     val res = StarDetection.run(edges, n.toLong, c, eps = 0.5, seed = 22)
     val delta = adj.values.map(_.size).max

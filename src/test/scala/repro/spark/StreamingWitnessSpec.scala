@@ -10,8 +10,6 @@ import org.apache.hadoop.util.NativeCodeLoader
 import org.apache.spark.TestBus
 import org.apache.spark.sql.execution.streaming.checkpointing.FileContextBasedCheckpointFileManager
 import org.apache.spark.sql.streaming.{StreamingQueryException, StreamingQueryListener}
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.{Seconds, Span}
 
 import repro.{Oracle, SparkSpec, SynthGraphs}
 import repro.core.{FrequentWitness, InsertionOnlyND, WitnessRecord}
@@ -91,7 +89,7 @@ class StreamingWitnessSpec extends SparkSpec {
     assert(freq(r.item) >= cfg.d2, "reported item must actually be d/c-frequent")
   }
 
-  test("ungated operator matches the sequential candidate semantics") {
+  test("the sequential report and run flags at 1 and 5 batches, c = 2, 3") {
     // The operator's merged sample per run is the sequential reservoir's
     // final set, so report and per-run success equal the sequential build's.
     val (recs, freq) = stream(30, 400, 1.0, seed = 31)
@@ -146,27 +144,13 @@ class StreamingWitnessSpec extends SparkSpec {
   }
 
   test("state partitions: min(shuffle partitions, default parallelism), session conf restored") {
-    val key = "spark.sql.shuffle.partitions"
-    val before = spark.conf.get(key)
+    val before = spark.conf.get(shufflePartitions)
     val expected = math.min(before.toInt, spark.sparkContext.defaultParallelism)
-    val seen = new ConcurrentLinkedQueue[Long]()
-    val listener = new StreamingQueryListener {
-      override def onQueryStarted(e: StreamingQueryListener.QueryStartedEvent): Unit = ()
-      override def onQueryProgress(e: StreamingQueryListener.QueryProgressEvent): Unit =
-        e.progress.stateOperators.headOption.foreach(op => seen.add(op.numShufflePartitions))
-      override def onQueryTerminated(e: StreamingQueryListener.QueryTerminatedEvent): Unit = ()
-    }
     val (recs, freq) = stream(20, 200, 1.1, seed = 51)
     val cfg = StreamingWitness.Config(nItems = 20, d = freq.values.max.toInt, c = 2, seed = 52)
-    spark.streams.addListener(listener)
-    try {
-      StreamingWitness.runMicroBatched(spark, recs, nBatches = 2, cfg)
-      // Listener events arrive asynchronously; wait for at least one.
-      eventually(timeout(Span(30, Seconds))) { assert(!seen.isEmpty) }
-    } finally spark.streams.removeListener(listener)
-    assert(seen.asScala.toSet == Set(expected.toLong),
-      s"state partitions ${seen.asScala.toSet}, expected $expected")
-    assert(spark.conf.get(key) == before, "session shuffle partitions must be restored")
+    val (_, seen) = statePartitionsSeen(StreamingWitness.runMicroBatched(spark, recs, nBatches = 2, cfg))
+    assert(seen == Set(expected.toLong), s"state partitions $seen, expected $expected")
+    assert(spark.conf.get(shufflePartitions) == before, "session shuffle partitions must be restored")
   }
 
   private val shufflePartitions = "spark.sql.shuffle.partitions"

@@ -2,7 +2,9 @@ package repro.tables
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** The table runner's id handling and exit-code rule; runs no table. */
+/** The table runner's id handling and exit-code rule, and Table 6 run end
+  * to end (sequential, 4 cells).
+  */
 class TablesSpec extends AnyFunSuite {
 
   test("registry holds exactly ids 1..7, each once") {
@@ -30,5 +32,12 @@ class TablesSpec extends AnyFunSuite {
     )
     assert(Tables.failedChecks(outs) == Seq("b", "d", "e"))
     assert(Tables.failedChecks(Seq(table("a" -> true))).isEmpty)
+  }
+
+  test("Table 6 runs its 4 cells and every check holds") {
+    val out = Table6Star.run()
+    assert(out.rows.size == 4)
+    assert(out.checks.nonEmpty)
+    assert(Tables.failedChecks(Seq(out)).isEmpty, out.render)
   }
 }
