@@ -9,22 +9,93 @@ import repro.Hashing
   * Algorithm 2 runs c copies of Deg-Res-Sampling in parallel but the paper
   * charges the O(n log n)-bit degree table only once; sharing one tracker
   * across runs reproduces that accounting and avoids re-counting.
-  * Serializable so that the streaming build can keep it as operator state.
+  *
+  * An open-addressing table over primitive arrays: slot i holds vertex
+  * `keys(i)` with degree `degs(i)`, and degree 0 marks an empty slot, so any
+  * Long is a valid id. A vertex probes linearly from the low bits of
+  * [[Hashing.splitmix64]](a); the table doubles once more than half its
+  * slots are full.
+  *
+  * Serializable so that the streaming build can keep it as operator state;
+  * it is written packed, as its size and then its (id, degree) pairs, 12
+  * bytes per vertex, and rebuilt on read.
   */
 final class DegreeTracker extends Serializable {
-  private val deg = mutable.HashMap.empty[Long, Int]
+  @transient private var keys = new Array[Long](DegreeTracker.MinCapacity)
+  @transient private var degs = new Array[Int](DegreeTracker.MinCapacity)
+  @transient private var size = 0
+
+  /** The slot holding `a`, or the empty slot where it would go. */
+  private def slot(a: Long): Int = {
+    val mask = keys.length - 1
+    var i = Hashing.splitmix64(a).toInt & mask
+    while (degs(i) != 0 && keys(i) != a) i = (i + 1) & mask
+    i
+  }
 
   /** Increment deg(a) by one and return the new degree. */
   def bump(a: Long): Int = {
-    val d = deg.getOrElse(a, 0) + 1
-    deg.update(a, d)
+    val i = slot(a)
+    val d = degs(i) + 1
+    degs(i) = d
+    if (d == 1) {
+      keys(i) = a
+      size += 1
+      if (2 * size > keys.length) rehash(2 * keys.length)
+    }
     d
   }
 
-  def degree(a: Long): Int = deg.getOrElse(a, 0)
+  def degree(a: Long): Int = degs(slot(a))
 
   /** One word per vertex with at least one edge (n_0 in Theorem 3.2). */
-  def words: Long = deg.size.toLong
+  def words: Long = size.toLong
+
+  /** Put `a`, which the table does not hold, in with degree `d`. */
+  private def place(a: Long, d: Int): Unit = {
+    val i = slot(a)
+    keys(i) = a
+    degs(i) = d
+  }
+
+  /** Move every entry into a new table of `capacity` slots. */
+  private def rehash(capacity: Int): Unit = {
+    val oldKeys = keys
+    val oldDegs = degs
+    keys = new Array[Long](capacity)
+    degs = new Array[Int](capacity)
+    var j = 0
+    while (j < oldDegs.length) {
+      if (oldDegs(j) != 0) place(oldKeys(j), oldDegs(j))
+      j += 1
+    }
+  }
+
+  private def writeObject(out: java.io.ObjectOutputStream): Unit = {
+    out.defaultWriteObject()
+    out.writeInt(size)
+    var j = 0
+    while (j < degs.length) {
+      if (degs(j) != 0) { out.writeLong(keys(j)); out.writeInt(degs(j)) }
+      j += 1
+    }
+  }
+
+  /** Rebuilds the table at the least capacity that keeps its load at most ½. */
+  private def readObject(in: java.io.ObjectInputStream): Unit = {
+    in.defaultReadObject()
+    size = in.readInt()
+    var capacity = DegreeTracker.MinCapacity
+    while (2 * size > capacity) capacity *= 2
+    keys = new Array[Long](capacity)
+    degs = new Array[Int](capacity)
+    var n = 0
+    while (n < size) { place(in.readLong(), in.readInt()); n += 1 }
+  }
+}
+
+object DegreeTracker {
+  private val MinCapacity = 16
 }
 
 /** Algorithm 1: Deg-Res-Sampling(d1, d2, s).
@@ -71,9 +142,17 @@ final class DegResSampling(val d1: Int, val d2: Int, val s: Int, seed: Long, run
         insert(key)
       }
     }
-    if (collected.contains(edge.a)) {
-      val buf = collected(edge.a)
-      if (buf.size < d2) { buf += edge.b; charge(1) }
+    // A held vertex entered at degree d1 with an empty buffer, has collected
+    // every edge since, and once evicted never returns (its degree passes
+    // d1 once). So its buffer holds newDeg - d1 edges: it can grow only
+    // while that is below d2, and only then is `collected` looked up.
+    if (newDeg >= d1 && newDeg - d1 < d2) {
+      val buf = collected.getOrElse(edge.a, null)
+      if (buf != null) {
+        assert(buf.size < d2, "a full buffer inside the collection window")
+        buf += edge.b
+        charge(1)
+      }
     }
   }
 

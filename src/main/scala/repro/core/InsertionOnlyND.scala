@@ -108,7 +108,8 @@ object InsertionOnlyND {
     */
   def merge(shards: Seq[Shard], c: Int, s: Int, d2: Int, seed: Long): InsertionOnlyResult = {
     val outcome = Vector.tabulate(c)(i => shards.flatMap(_.stored(i))
-      .sortBy(nb => (Hashing.priority(seed, i, nb.a), nb.a)).take(s).find(_.size >= d2))
+      .map(nb => ((Hashing.priority(seed, i, nb.a), nb.a), nb)).sortBy(_._1)
+      .take(s).collectFirst { case (_, nb) if nb.size >= d2 => nb })
     InsertionOnlyResult(
       output        = pick(outcome, seed),
       runSucceeded  = outcome.map(_.nonEmpty),

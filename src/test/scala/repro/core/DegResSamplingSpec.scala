@@ -1,12 +1,19 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+
+import scala.collection.mutable
 import scala.util.Random
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 
 import repro.{Hashing, SparkSpec, SynthGraphs}
 
-/** Unit tests for Algorithm 1 (Deg-Res-Sampling) — collection rule,
-  * bottom-s reservoir, reservoir uniformity, Lemma 3.1 success bound, space
-  * accounting.
+/** Unit tests for Algorithm 1 (Deg-Res-Sampling) — degree table,
+  * collection rule, bottom-s reservoir, reservoir uniformity, Lemma 3.1
+  * success bound, space accounting.
   */
 class DegResSamplingSpec extends SparkSpec {
 
@@ -23,6 +30,64 @@ class DegResSamplingSpec extends SparkSpec {
     edges.foreach(e => t.bump(e.a))
     assert(t.degree(1) == 3 && t.degree(2) == 1 && t.degree(3) == 0)
     assert(t.words == 2)
+  }
+
+  /** Checks `prop` on 100 generated cases from a fixed seed. */
+  private def check(prop: Prop, seed: Long): Unit = {
+    val result = Test.check(Test.Parameters.default.withInitialSeed(Seed(seed)), prop)
+    assert(result.passed, Pretty.pretty(result, Pretty.Params(2)))
+  }
+
+  /** A Java-serialization round trip; also returns the bytes written. */
+  private def roundTrip(t: DegreeTracker): (DegreeTracker, Int) = {
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(t)
+    out.close()
+    val in = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray))
+    (in.readObject().asInstanceOf[DegreeTracker], bytes.size)
+  }
+
+  /** Ids that stress the table: the extremes, 0 and -1, 64 ids equal in
+    * their low 32 bits, 200-800 random ones; and a stream seed.
+    */
+  private val trackerCases: Gen[(Vector[Long], Long)] = for {
+    low    <- Gen.long
+    n      <- Gen.choose(200, 800)
+    random <- Gen.listOfN(n, Gen.long)
+    seed   <- Gen.long
+  } yield ((Vector(Long.MinValue, Long.MaxValue, 0L, -1L) ++
+    (1 to 64).map(i => (i.toLong << 32) | (low & 0xffffffffL)) ++ random).distinct, seed)
+
+  test("degree table equals a HashMap through doublings and a serialization round trip") {
+    check(Prop.forAllNoShrink(trackerCases) { case (ids, seed) =>
+      val rng = new Random(seed)
+      // A tenth of the ids never occur; the rest occur 1-4 times each.
+      val (present, absent) = rng.shuffle(ids).splitAt(ids.size * 9 / 10)
+      val stream = rng.shuffle(present.flatMap(a => Vector.fill(1 + rng.nextInt(4))(a)))
+      val ref = mutable.HashMap.empty[Long, Int]
+      def bump(t: DegreeTracker, a: Long): Unit = {
+        ref(a) = ref.getOrElse(a, 0) + 1
+        assert(t.bump(a) == ref(a), s"bump($a)")
+      }
+      def agree(t: DegreeTracker, when: String): Unit = {
+        ids.foreach(a => assert(t.degree(a) == ref.getOrElse(a, 0), s"$when: degree($a)"))
+        absent.foreach(a => assert(t.degree(a) == 0, s"$when: absent $a"))
+        assert(t.words == ref.size, when)
+      }
+      val (before, after) = stream.splitAt(stream.size / 2)
+      val t = new DegreeTracker
+      before.foreach(bump(t, _))
+      agree(t, "before the round trip")
+      val (copy, bytes) = roundTrip(t)
+      agree(copy, "after the round trip")
+      // Packed: 12 bytes per vertex and a fixed header, not the empty slots.
+      assert(bytes - 12 * t.words < 256, s"$bytes bytes for ${t.words} vertices")
+      after.foreach(bump(copy, _))
+      agree(copy, "bumped after the round trip")
+      assert(copy.words > 128, "the table must double at least three times")
+      Prop.passed
+    }, seed = 18)
   }
 
   test("collects exactly the edges with ranks d1..d1+d2-1 in stream order") {
@@ -95,6 +160,43 @@ class DegResSamplingSpec extends SparkSpec {
       }
       assert(everStored.size > s, s"seed=$seed: the stream must evict")
     }
+  }
+
+  test("every held neighborhood is its ranks d1..d1+d2-1, also past d1+d2 and after evictions") {
+    var evictions = 0
+    var pastWindow = 0
+    check(Prop.forAllNoShrink(Gen.choose(1, 6), Gen.choose(1, 6), Gen.choose(1, 4), Gen.long) {
+      (d1, d2, s, seed) =>
+        val rng = new Random(seed)
+        // 40 vertices of degree up to d1 + d2 + 20: most cross d1 into a
+        // reservoir of at most 4, and many run far past their window.
+        val edges = rng.shuffle((1 to 40).flatMap { a =>
+          (1 to 1 + rng.nextInt(d1 + d2 + 20)).map(i => Edge(a.toLong, a * 1000L + i))
+        })
+        val tracker = new DegreeTracker
+        val alg = new DegResSampling(d1, d2, s, seed, run = 0)
+        val seen = mutable.HashMap.empty[Long, Vector[Long]]
+        val evicted = mutable.Set.empty[Long]
+        var held = Set.empty[Long]
+        edges.foreach { e =>
+          val deg = tracker.bump(e.a)
+          alg.process(e, deg)
+          seen(e.a) = seen.getOrElse(e.a, Vector.empty) :+ e.b
+          val stored = alg.storedNeighborhoods
+          stored.foreach { nb =>
+            assert(nb.neighbors == seen(nb.a).slice(d1 - 1, d1 - 1 + d2),
+              s"d1=$d1 d2=$d2 s=$s seed=$seed: vertex ${nb.a} after $e")
+          }
+          if (stored.exists(_.a == e.a) && deg >= d1 + d2) pastWindow += 1
+          val now = stored.map(_.a).toSet
+          evicted ++= held -- now
+          assert((now & evicted).isEmpty, s"seed=$seed: an evicted vertex returned")
+          held = now
+        }
+        evictions += evicted.size
+        Prop.passed
+    }, seed = 18)
+    assert(evictions > 0 && pastWindow > 0, s"evictions=$evictions pastWindow=$pastWindow")
   }
 
   test("reservoir holds a uniform sample: each crossing vertex ~ s/x rate") {
