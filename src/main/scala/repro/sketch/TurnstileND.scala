@@ -12,26 +12,50 @@ object TurnstileStrategy {
 
 /** Outcome of one turnstile run with diagnostics for Table 4.
   *
-  * `vertexBestSize` / `edgeBestSize` report the largest neighborhood each
-  * strategy found on its own (None = that strategy found nothing of size
-  * >= d/c) so the Lemma 5.2 / 5.3 regime split is observable even when
-  * both strategies succeed. `vertexDecodeFailures` counts the vertex
+  * `vertexHit` / `edgeHit` are each strategy's best neighborhood of at
+  * least ⌊d/c⌋ neighbors (the most neighbors, then the least `a`; None =
+  * that strategy found none), so the Lemma 5.2 / 5.3 regime split is
+  * observable even when both strategies succeed; the output is the larger,
+  * vertex sampling winning a tie. `vertexDecodeFailures` counts the vertex
   * sketches that could not decode (a zero vector is not a failure), and
   * `edgeDecodeFailures` is 1 if the edge sketch could not.
+  * `sampledVertices` counts the vertex sketches, |A′| for the whole sketch.
+  *
+  * The shards of one sketch hold disjoint sketches, so `++` over all of
+  * their results gives the whole sketch's: the better of each pair of hits,
+  * and the sums of the rest.
   */
 final case class TurnstileResult(
-    output: Option[Neighborhood],
-    strategy: Option[TurnstileStrategy],
-    vertexBestSize: Option[Int],
-    edgeBestSize: Option[Int],
+    vertexHit: Option[Neighborhood],
+    edgeHit: Option[Neighborhood],
     vertexSamplerWords: Long,
     edgeSamplerWords: Long,
     sampledVertices: Int,
     vertexDecodeFailures: Int,
     edgeDecodeFailures: Int,
 ) {
+  private def vertexWins: Boolean = vertexHit.exists(v => edgeHit.forall(v.size >= _.size))
+  def output: Option[Neighborhood] = if (vertexWins) vertexHit else edgeHit
+  def strategy: Option[TurnstileStrategy] =
+    if (vertexWins) Some(TurnstileStrategy.VertexSampling)
+    else edgeHit.map(_ => TurnstileStrategy.EdgeSampling)
+  def vertexBestSize: Option[Int] = vertexHit.map(_.size)
+  def edgeBestSize: Option[Int] = edgeHit.map(_.size)
   def succeeded: Boolean = output.nonEmpty
   def totalWords: Long = vertexSamplerWords + edgeSamplerWords + sampledVertices
+
+  def ++(o: TurnstileResult): TurnstileResult =
+    TurnstileResult(
+      TurnstileResult.best(vertexHit ++ o.vertexHit), TurnstileResult.best(edgeHit ++ o.edgeHit),
+      vertexSamplerWords + o.vertexSamplerWords, edgeSamplerWords + o.edgeSamplerWords,
+      sampledVertices + o.sampledVertices,
+      vertexDecodeFailures + o.vertexDecodeFailures, edgeDecodeFailures + o.edgeDecodeFailures)
+}
+
+object TurnstileResult {
+  /** The neighborhood with the most neighbors, then the least `a`. */
+  private[sketch] def best(nbs: IterableOnce[Neighborhood]): Option[Neighborhood] =
+    nbs.iterator.minByOption(nb => (-nb.size, nb.a))
 }
 
 /** Parameterization of Algorithm 3: the pre-sampled vertex set, the sample
@@ -50,7 +74,6 @@ final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
   // The edge sketch's domain n·m and every edgeCoord must fit in a Long.
   require(n <= Long.MaxValue / m, s"n·m must fit in a Long: n=$n, m=$m")
 
-  val dc: Int = math.max(1, d / c)
   val x: Double = math.max(n.toDouble / c, math.sqrt(n.toDouble))
 
   /** Pre-sampled vertex set A': the t = min(n, ⌈cv·x·ln(n+1)⌉) vertices a
@@ -62,8 +85,10 @@ final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
     (1L to n).sortBy(a => (priority(seed, -2, a), a)).take(t.toInt).toVector
   }
 
-  /** Samples each vertex sketch draws (its k). */
-  val samplersPerVertex: Int = dc
+  /** Samples each vertex sketch draws (its k): ⌊d/c⌋, at least 1, also
+    * the least size of an answer.
+    */
+  val samplersPerVertex: Int = math.max(1, d / c)
 
   /** Samples the edge sketch draws (its k). */
   val nEdgeSamplers: Int = math.max(1, math.ceil(
@@ -89,45 +114,6 @@ final case class TurnstileConfig(n: Long, m: Long, d: Int, c: Int, seed: Long,
   /** Edge (a, b) as a coordinate of the A×B domain. */
   def edgeCoord(a: Long, b: Long): Long = (a - 1) * m + (b - 1)
   def coordEdge(coord: Long): (Long, Long) = (coord / m + 1, coord % m + 1)
-
-  /** Build the answer from the samples of all shards of the sketch. */
-  def assemble(samples: TurnstileSamples): TurnstileResult = {
-    val vertexHit = samples.vertex.iterator.collect {
-      case (a, nbrs) if nbrs.size >= dc => Neighborhood(a, nbrs.toVector.sorted)
-    }.toVector.sortBy(nb => (-nb.size, nb.a)).headOption
-
-    val edgeHit = samples.edges.groupBy(_._1).iterator.collect {
-      case (a, es) if es.size >= dc => Neighborhood(a, es.map(_._2).toVector.sorted)
-    }.toVector.sortBy(nb => (-nb.size, nb.a)).headOption
-
-    val (out, strat) = (vertexHit, edgeHit) match {
-      case (Some(v), Some(e)) =>
-        if (v.size >= e.size) (Some(v), Some(TurnstileStrategy.VertexSampling))
-        else (Some(e), Some(TurnstileStrategy.EdgeSampling))
-      case (Some(v), None) => (Some(v), Some(TurnstileStrategy.VertexSampling))
-      case (None, Some(e)) => (Some(e), Some(TurnstileStrategy.EdgeSampling))
-      case _ => (None, None)
-    }
-    TurnstileResult(out, strat,
-      vertexHit.map(_.size), edgeHit.map(_.size),
-      samples.vertexWords, samples.edgeWords, sampledVertices.size,
-      samples.vertexFailures, samples.edgeFailures)
-  }
-}
-
-/** What the sketches of one [[TurnstileND]] shard return: per pre-sampled
-  * vertex of the shard, its sampled B-ids; the sampled edges; the words
-  * each bank holds; and the sketches of each bank that failed to decode.
-  * Shards hold disjoint sketches, so `++` over all shards gives the whole
-  * sketch's samples.
-  */
-final case class TurnstileSamples(vertex: Map[Long, Set[Long]], edges: Set[(Long, Long)],
-                                  vertexWords: Long, edgeWords: Long,
-                                  vertexFailures: Int = 0, edgeFailures: Int = 0) {
-  def ++(o: TurnstileSamples): TurnstileSamples =
-    TurnstileSamples(vertex ++ o.vertex, edges ++ o.edges,
-      vertexWords + o.vertexWords, edgeWords + o.edgeWords,
-      vertexFailures + o.vertexFailures, edgeFailures + o.edgeFailures)
 }
 
 /** Algorithm 3, sequential build: one-pass c-approximation for Neighborhood
@@ -139,7 +125,8 @@ final case class TurnstileSamples(vertex: Map[Long, Set[Long]], edges: Set[(Long
   * Shard `part` of `parts` holds only the vertex sketches at positions
   * j ≡ part (mod parts) of A′, and shard 0 also the edge sketch; the
   * default is the whole sketch. Every sketch sees the whole stream, so a
-  * shard's sketches end in the states the whole sketch's would
+  * shard's sketches end in the states the whole sketch's would, and the
+  * shards' results combine with `++` to the whole sketch's
   * ([[repro.spark.SparkL0]] builds the shards in parallel).
   */
 final class TurnstileND(val config: TurnstileConfig, part: Int = 0, parts: Int = 1) {
@@ -168,25 +155,29 @@ final class TurnstileND(val config: TurnstileConfig, part: Int = 0, parts: Int =
     ops.iterator.foreach(process); this
   }
 
-  /** What this shard's sketches return after the stream ends. */
-  def samples: TurnstileSamples = {
-    val vertex = vertexBank.map { case (a, s) => a -> s.sample() }
+  /** Query after the stream ends: each strategy's best neighborhood of at
+    * least ⌊d/c⌋ sampled neighbors, over this shard's sketches; Algorithm
+    * 3's answer when this is the whole sketch (the default shard).
+    */
+  def result(): TurnstileResult = {
+    val vertex = vertexBank.toVector.map { case (a, s) => a -> s.sample() }
     val edges = edgeSampler.map(_.sample())
     def drawn(r: KSample): Vector[Long] = r match {
       case KSample.Drawn(xs) => xs
       case _                 => Vector.empty
     }
-    TurnstileSamples(
-      vertex         = vertex.map { case (a, r) => a -> drawn(r).iterator.map(_ + 1).toSet },
-      edges          = edges.iterator.flatMap(drawn).map(coordEdge).toSet,
-      vertexWords    = vertexBank.valuesIterator.map(_.words).sum,
-      edgeWords      = edgeSampler.fold(0L)(_.words),
-      vertexFailures = vertex.valuesIterator.count(_ == KSample.Failed),
-      edgeFailures   = edges.count(_ == KSample.Failed))
+    // Sampled coordinates are distinct, so each neighbor list is too.
+    def hit(nbrs: Iterator[(Long, Vector[Long])]): Option[Neighborhood] =
+      TurnstileResult.best(nbrs.collect {
+        case (a, bs) if bs.size >= samplersPerVertex => Neighborhood(a, bs.sorted)
+      })
+    TurnstileResult(
+      vertexHit            = hit(vertex.iterator.map { case (a, r) => a -> drawn(r).map(_ + 1) }),
+      edgeHit              = hit(edges.toVector.flatMap(drawn).map(coordEdge).groupMap(_._1)(_._2).iterator),
+      vertexSamplerWords   = vertexBank.valuesIterator.map(_.words).sum,
+      edgeSamplerWords     = edgeSampler.fold(0L)(_.words),
+      sampledVertices      = vertexBank.size,
+      vertexDecodeFailures = vertex.count(_._2 == KSample.Failed),
+      edgeDecodeFailures   = edges.count(_ == KSample.Failed))
   }
-
-  /** Query after the stream ends: Algorithm 3's answer when this is the
-    * whole sketch (the default shard).
-    */
-  def result(): TurnstileResult = config.assemble(samples)
 }

@@ -40,7 +40,7 @@ class TurnstileGridSpec extends SparkSpec {
     val res = new TurnstileND(cfg).processAll(ops).result()
     assert(res.succeeded)
     val nb = res.output.get
-    assert(nb.size >= cfg.dc)
+    assert(nb.size >= cfg.samplersPerVertex)
     assert(Neighborhood.isValid(nb, adj))
   }
 

@@ -6,7 +6,8 @@ import java.util.concurrent.atomic.AtomicInteger
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.TestBus
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted,
+  SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -49,6 +50,18 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = tasks.add(e.stageInfo.numTasks)
     })(body)
     tasks.asScala.toVector
+  }
+
+  /** Bytes each task started by `body` sent back to the driver as its
+    * result (`taskMetrics.resultSize`), in completion order.
+    */
+  def taskResultBytesOf(body: => Unit): Vector[Long] = {
+    val bytes = new ConcurrentLinkedQueue[Long]
+    listening(new SparkListener {
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(e.taskMetrics).foreach(m => bytes.add(m.resultSize))
+    })(body)
+    bytes.asScala.toVector
   }
 
   override def afterAll(): Unit = { super.afterAll() }

@@ -5,15 +5,15 @@ import repro.core.{Neighborhood, StreamOp}
 
 /** Tests for Algorithm 3 / Theorem 5.4 (turnstile Neighborhood Detection):
   * success under deletions, validity, strategy regimes, space shape, and
-  * sampler shards that add up to the whole sketch.
+  * shard results that combine to the whole sketch's.
   */
 class TurnstileNDSpec extends SparkSpec {
 
   test("config: x = max(n/c, sqrt(n)) and dc = floor(d/c)") {
     val c1 = TurnstileConfig(100, 100, 20, 2, 1, 1.0, 1.0, 6)
-    assert(c1.x == 50.0 && c1.dc == 10)
+    assert(c1.x == 50.0 && c1.samplersPerVertex == 10)
     val c2 = TurnstileConfig(100, 100, 20, 50, 1, 1.0, 1.0, 6)
-    assert(c2.x == 10.0 && c2.dc == 1) // c > sqrt(n): x = sqrt(n)
+    assert(c2.x == 10.0 && c2.samplersPerVertex == 1) // c > sqrt(n): x = sqrt(n)
   }
 
   test("A' is the t = min(n, ⌈cv·x·ln(n+1)⌉) vertices of least (priority(seed, -2, a), a)") {
@@ -126,15 +126,16 @@ class TurnstileNDSpec extends SparkSpec {
     SynthGraphs.turnstileFrom(edges, 192, chaffFraction = 0.4, seed = 23)
   }
 
-  // More shards than samplers leaves some shards empty.
+  // More shards than sketches leaves some shards empty.
   for (parts <- Seq(1, 2, 3, 7, shardCfg.sampledVertices.size + shardCfg.nEdgeSamplers + 1))
-    test(s"the shards' samples add up to the whole sketch's (parts=$parts)") {
-      val shards = (0 until parts).map(p => new TurnstileND(shardCfg, p, parts).processAll(shardOps).samples)
-      val whole = new TurnstileND(shardCfg).processAll(shardOps).samples
+    test(s"the shards' results combine to the whole sketch's (parts=$parts)") {
+      val shards = (0 until parts).map(p => new TurnstileND(shardCfg, p, parts).processAll(shardOps).result())
+      val whole = new TurnstileND(shardCfg).processAll(shardOps).result()
       assert(shards.reduce(_ ++ _) == whole)
-      assert(whole.vertex.size == shardCfg.sampledVertices.size && whole.edges.nonEmpty)
+      assert(shards.map(_.sampledVertices).sum == shardCfg.sampledVertices.size)
+      assert(whole.vertexHit.nonEmpty && whole.edgeHit.nonEmpty)
       if (parts > math.max(shardCfg.sampledVertices.size, shardCfg.nEdgeSamplers))
-        assert(shards.last == TurnstileSamples(Map.empty, Set.empty, 0L, 0L))
+        assert(shards.last == TurnstileResult(None, None, 0L, 0L, 0, 0, 0))
     }
 
   test("the shard constructor rejects part outside [0, parts), naming both") {
@@ -169,8 +170,8 @@ class TurnstileNDSpec extends SparkSpec {
     val ops = for (a <- 1L to 16L; b <- 1L to 64L) yield StreamOp(repro.core.Edge(a, 3 * b), 1)
     val whole = new TurnstileND(cfg).processAll(ops).result()
     assert(whole.vertexDecodeFailures > 0 && whole.edgeDecodeFailures == 1)
-    val shards = (0 until 3).map(p => new TurnstileND(cfg, p, 3).processAll(ops).samples).reduce(_ ++ _)
-    assert(cfg.assemble(shards) == whole)
+    val shards = (0 until 3).map(p => new TurnstileND(cfg, p, 3).processAll(ops).result())
+    assert(shards.reduce(_ ++ _) == whole)
     val none = new TurnstileND(cfg).processAll(ops ++ ops.map(op => StreamOp(op.edge, -1))).result()
     assert(none.vertexDecodeFailures == 0 && none.edgeDecodeFailures == 0 && none.output.isEmpty)
   }
@@ -193,7 +194,6 @@ class TurnstileNDSpec extends SparkSpec {
       val want = build(ops)
       for (order <- orders) {
         val got = build(order)
-        assert(got.samples == want.samples, s"trial=$trial")
         assert(got.result() == want.result(), s"trial=$trial")
       }
       // Only the final graph: the same answer; words may differ, since a

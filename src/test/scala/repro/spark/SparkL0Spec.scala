@@ -8,7 +8,8 @@ import repro.sketch.{TurnstileConfig, TurnstileND}
   * Algorithm 3 given the same config: each shard builds its samplers with
   * the whole sketch's seeds and feeds them the whole stream in order, so
   * no sampler's final state can differ. A call is one Spark job of
-  * [[VertexPartitions.corePartitions]] tasks.
+  * [[VertexPartitions.corePartitions]] tasks, each of which ships its
+  * shard's answer, not its samples.
   */
 class SparkL0Spec extends SparkSpec {
 
@@ -42,6 +43,20 @@ class SparkL0Spec extends SparkSpec {
     assert(stageTasksOf { SparkL0.run(spark, ops, cfg) } == Vector(VertexPartitions.corePartitions(spark)))
   }
 
+  test("every task ships under 4 kB at c = 2, where the edge sketch draws every live edge") {
+    // A task's result is Spark's task metrics (about 1.3 kB) plus its
+    // shard's TurnstileResult: at most two neighborhoods and five counters.
+    // A shard's raw samples, the edge sketch's every live edge, took more.
+    val n = 64L; val m = 512L; val d = 16
+    val (edges, _) = SynthGraphs.uniformPlusPlanted(n, m, d, bg = 8, seed = 5)
+    val ops = SynthGraphs.turnstileFrom(edges, m, chaffFraction = 0.3, seed = 6)
+    val cfg = TurnstileConfig(n, m, d, 2, seed = 7, cv = 1.0, ce = 0.5, buckets = 6)
+    assert(cfg.nEdgeSamplers > SynthGraphs.adjacencyOf(ops).valuesIterator.map(_.size).sum)
+    val bytes = taskResultBytesOf { SparkL0.run(spark, ops, cfg) }
+    assert(bytes.size == VertexPartitions.corePartitions(spark))
+    assert(bytes.forall(_ < 4096), s"task result bytes: $bytes")
+  }
+
   test("Spark build succeeds and validates on a turnstile planted star") {
     val n = 64L; val m = 256L; val d = 16
     val (edges, planted) = SynthGraphs.plantedStar(n, m, d, maxBg = 3, seed = 7)
@@ -51,7 +66,7 @@ class SparkL0Spec extends SparkSpec {
     val res = SparkL0.run(spark, ops, cfg)
     assert(res.succeeded)
     val nb = res.output.get
-    assert(nb.size >= cfg.dc)
+    assert(nb.size >= cfg.samplersPerVertex)
     assert(repro.core.Neighborhood.isValid(nb, adj))
     assert(adj(planted).size == d)
   }
