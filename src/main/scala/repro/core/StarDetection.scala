@@ -49,24 +49,19 @@ object StarDetection {
   def run(undirected: IterableOnce[(Long, Long)], n: Long, c: Int, eps: Double,
           seed: Long): StarResult = {
     val guesses = guessLadder(n, eps)
-    val s = InsertionOnlyND.checkedReservoirSize(n, d = guesses.head, c, sOverride = None)
     // Algorithm 2's c runs per guess g, seeded seed + g, all fed the
-    // doubled stream; every guess sees the same degrees, so one degree
-    // table serves them all.
-    val runsPerGuess = guesses.zipWithIndex.map { case (dGuess, g) =>
-      InsertionOnlyND.runs(dGuess, c, s, seed + g)
-    }
+    // doubled stream; every guess sees the same degrees, so one partition
+    // and its degree table serve them all.
+    val params = guesses.zipWithIndex.map { case (d, g) => InsertionOnlyND.Params(n, d, c, seed + g) }
+    val runsPerGuess = params.map(_.runs())
     val doubled = undirected.iterator.flatMap { case (u, v) => Iterator(Edge(u, v), Edge(v, u)) }
-    val degrees = InsertionOnlyND.feed(doubled, runsPerGuess.flatten)
-    val perGuess = runsPerGuess.zip(guesses).zipWithIndex.map { case ((runs, dGuess), g) =>
-      InsertionOnlyND.merge(Vector(InsertionOnlyND.shard(runs, degrees)), c, s,
-        InsertionOnlyND.targetSize(dGuess, c), seed + g)
-    }
+    val all = new InsertionOnlyND.Partition(runsPerGuess.flatten).feed(doubled)
+    val perGuess = params.zip(runsPerGuess).map { case (p, runs) => p.merge(Vector(all.shard(runs))) }
     StarResult(
       output       = perGuess.flatMap(_.output).maxByOption(_.size),
       guesses      = guesses,
       perGuessSize = perGuess.map(_.output.fold(0)(_.size)),
-      totalPeakWords = degrees.words + perGuess.map(_.runPeakWords.sum).sum,
+      totalPeakWords = all.degrees.words + perGuess.map(_.runPeakWords.sum).sum,
     )
   }
 }

@@ -70,7 +70,6 @@ object BitVectorLearning {
 
   final case class ProtocolOutcome(
       index: Long,
-      decodedBits: Map[Int, Boolean],
       correctBits: Int,
       wrongBits: Int,
       targetBits: Int, // 1.01k rounded up
@@ -94,7 +93,7 @@ object BitVectorLearning {
     val res = InsertionOnlyND.run(stream, inst.n, d, c, seed)
     res.output match {
       case None =>
-        ProtocolOutcome(-1L, Map.empty, 0, 0,
+        ProtocolOutcome(-1L, 0, 0,
           math.ceil(1.01 * inst.k).toInt, res.totalPeakWords)
       case Some(nb) =>
         val truth = inst.z(nb.a)
@@ -102,7 +101,7 @@ object BitVectorLearning {
         val (ok, bad) = decoded.partition { case (pos, v) =>
           pos >= 1 && pos <= truth.size && truth(pos - 1) == v
         }
-        ProtocolOutcome(nb.a, decoded, ok.size, bad.size,
+        ProtocolOutcome(nb.a, ok.size, bad.size,
           math.ceil(1.01 * inst.k).toInt, res.totalPeakWords)
     }
   }

@@ -21,25 +21,22 @@ object SetDisjointnessRed {
   final case class Instance(p: Int, n: Long, sets: Vector[Set[Long]],
                             intersecting: Boolean, common: Option[Long])
 
-  /** Pairwise-disjoint instance: a random partition slice per party. */
-  def sampleDisjoint(p: Int, n: Long, perSet: Int, seed: Long): Instance = {
-    require(p.toLong * perSet <= n, "universe too small for disjoint sets")
-    val rng  = new Random(seed)
-    val perm = rng.shuffle((1L to n).toVector)
-    val sets = Vector.tabulate(p)(i => perm.slice(i * perSet, (i + 1) * perSet).toSet)
-    Instance(p, n, sets, intersecting = false, common = None)
-  }
-
-  /** Uniquely-intersecting instance: disjoint slices plus one shared item. */
-  def sampleIntersecting(p: Int, n: Long, perSet: Int, seed: Long): Instance = {
-    require(p.toLong * perSet + 1 <= n)
-    val rng    = new Random(seed)
-    val perm   = rng.shuffle((1L to n).toVector)
-    val common = perm.head
-    val rest   = perm.tail
-    val sets = Vector.tabulate(p)(i =>
-      rest.slice(i * perSet, (i + 1) * perSet).toSet + common)
-    Instance(p, n, sets, intersecting = true, common = Some(common))
+  /** A random instance: party i's set is the i-th slice of `perSet` items
+    * of a random permutation of U, so the sets are pairwise disjoint; if
+    * `intersecting`, the permutation's first item is left out of the
+    * slices and added to every set.
+    */
+  def sample(p: Int, n: Long, perSet: Int, seed: Long, intersecting: Boolean): Instance = {
+    val shared = if (intersecting) 1 else 0
+    require(p.toLong * perSet + shared <= n, "universe too small for disjoint sets")
+    val perm   = new Random(seed).shuffle((1L to n).toVector)
+    val common = perm.headOption.filter(_ => intersecting)
+    val rest   = perm.drop(shared)
+    val sets = Vector.tabulate(p) { i =>
+      val slice = rest.slice(i * perSet, (i + 1) * perSet).toSet
+      common.fold(slice)(slice + _)
+    }
+    Instance(p, n, sets, intersecting, common)
   }
 
   /** Party i's edges under the Theorem 4.1 construction (k = d/p). */

@@ -3,13 +3,6 @@ package repro.sketch
 import repro.Hashing.{priority, splitmix64}
 import repro.core.{Neighborhood, StreamOp}
 
-/** Which of Algorithm 3's two strategies produced the output. */
-sealed trait TurnstileStrategy
-object TurnstileStrategy {
-  case object VertexSampling extends TurnstileStrategy
-  case object EdgeSampling   extends TurnstileStrategy
-}
-
 /** Outcome of one turnstile run with diagnostics for Table 4.
   *
   * `vertexHit` / `edgeHit` are each strategy's best neighborhood of at
@@ -36,9 +29,6 @@ final case class TurnstileResult(
 ) {
   private def vertexWins: Boolean = vertexHit.exists(v => edgeHit.forall(v.size >= _.size))
   def output: Option[Neighborhood] = if (vertexWins) vertexHit else edgeHit
-  def strategy: Option[TurnstileStrategy] =
-    if (vertexWins) Some(TurnstileStrategy.VertexSampling)
-    else edgeHit.map(_ => TurnstileStrategy.EdgeSampling)
   def vertexBestSize: Option[Int] = vertexHit.map(_.size)
   def edgeBestSize: Option[Int] = edgeHit.map(_.size)
   def succeeded: Boolean = output.nonEmpty

@@ -11,7 +11,7 @@ import repro.core.{Edge, InsertionOnlyND, InsertionOnlyResult}
   * Input: an edge stream as rows (pos, a, b) where `pos` is the stream
   * position. One shuffle sends each vertex's edges to one partition,
   * sorted by `pos` there, and each partition runs the sequential build's
-  * c samplers ([[InsertionOnlyND.feed]]) over its rows. Run i's reservoir
+  * c samplers ([[InsertionOnlyND.Partition]]) over its rows. Run i's reservoir
   * is a bottom-s sample by [[repro.Hashing.priority]], and bottom-s
   * samples merge by union (Cohen–Kaplan bottom-k sketches; Agarwal et al.,
   * *Mergeable Summaries*, PODS 2012): the s least (priority, a) over the partitions'
@@ -19,7 +19,7 @@ import repro.core.{Edge, InsertionOnlyND, InsertionOnlyResult}
   * set has been held since it crossed d1, and its buffer depends only on
   * its own edges, so its neighborhood is the sequential one too. Each run
   * keeps its full neighborhood of least priority, and the winning run is
-  * [[InsertionOnlyND.pick]]'s ([[InsertionOnlyND.merge]]): the result
+  * [[InsertionOnlyND.pick]]'s ([[InsertionOnlyND.Params.merge]]): the result
   * equals [[InsertionOnlyND.run]]'s for the same seed, in one Spark job
   * whatever c is.
   */
@@ -46,19 +46,15 @@ object SparkDegRes {
     */
   def run(edges: DataFrame, n: Long, d: Int, c: Int, seed: Long,
           sOverride: Option[Int] = None): InsertionOnlyResult = {
-    val s  = InsertionOnlyND.checkedReservoirSize(n, d, c, sOverride)
-    val d2 = InsertionOnlyND.targetSize(d, c)
+    val p = InsertionOnlyND.Params(n, d, c, seed, sOverride)
     val parts = VertexPartitions.corePartitions(edges.sparkSession)
     val shards = edges
       .select(col("a").cast("long"), col("pos").cast("long"), col("b").cast("long"))
       .rdd.map(r => ((r.getLong(0), r.getLong(1)), r.getLong(2)))
       .repartitionAndSortWithinPartitions(new VertexPartitioner(parts))
-      .mapPartitions { rows =>
-        val runs = InsertionOnlyND.runs(d, c, s, seed)
-        val degrees = InsertionOnlyND.feed(rows.map { case ((a, _), b) => Edge(a, b) }, runs)
-        Iterator.single(InsertionOnlyND.shard(runs, degrees))
-      }
+      .mapPartitions(rows =>
+        Iterator.single(p.partition().feed(rows.map { case ((a, _), b) => Edge(a, b) }).shard))
       .collect().toVector
-    InsertionOnlyND.merge(shards, c, s, d2, seed)
+    p.merge(shards)
   }
 }

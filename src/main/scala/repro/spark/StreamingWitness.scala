@@ -10,8 +10,8 @@ import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import scala.collection.concurrent.TrieMap
 
-import repro.core.{DegResSampling, DegreeTracker, Edge, FrequentItemReport, FrequentWitness, InsertionOnlyND,
-  WitnessRecord}
+import repro.core.{Edge, FrequentItemReport, FrequentWitness, WitnessRecord}
+import repro.core.InsertionOnlyND.{Params, Partition, Shard}
 
 /** One micro-batch input row: an item occurrence with its witness and the
   * global stream position (events are replayed in `pos` order per state
@@ -25,50 +25,44 @@ final case class WitnessEvent(item: Long, witness: Long, pos: Long)
   *
   * It is [[SparkDegRes]]'s kernel kept across micro-batches.
   * `flatMapGroupsWithState` is keyed by the item's vertex partition
-  * ([[VertexPartitions.partitionOf]]), and the state of each key is
-  * Algorithm 2's c runs ([[InsertionOnlyND.runs]]) with their degree
-  * table. Each batch feeds a key's events to its runs in stream order
-  * ([[InsertionOnlyND.feed]]) and emits the partition's
-  * [[InsertionOnlyND.Shard]]; the latest shards merge into the sequential
-  * build's result ([[InsertionOnlyND.merge]]). State is at most P·c·s
+  * ([[VertexPartitions.partitionOf]]), and the state of each key is a
+  * [[InsertionOnlyND.Partition]]: Algorithm 2's c runs with their degree
+  * table. Each batch feeds a key's events to its partition in stream
+  * order and emits the partition's [[InsertionOnlyND.Shard]]; the latest
+  * shards merge into the sequential build's result
+  * ([[InsertionOnlyND.Params.merge]]). State is at most P·c·s
   * neighborhoods of at most ⌊d/c⌋ witnesses, P the state partitions, plus
   * the degree table.
   */
 object StreamingWitness {
 
-  final case class Config(nItems: Long, d: Int, c: Int, seed: Long) {
-    val s: Int = InsertionOnlyND.checkedReservoirSize(nItems, d, c, None)
-    val d2: Int = InsertionOnlyND.targetSize(d, c)
-  }
-
-  /** A state partition's runs and their shared degree table. */
-  private type PartitionState = (Vector[DegResSampling], DegreeTracker)
+  /** The former name of [[InsertionOnlyND.Params]], kept for the benchmark. */
+  type Config = Params
+  val Config: Params.type = Params
 
   /** The stateful update function: feed this batch's events of partition
     * `part` to its runs in stream order, emit the partition's shard.
     */
-  private def updatePartition(cfg: Config)(
+  private def updatePartition(cfg: Params)(
       part: Int, events: Iterator[WitnessEvent],
-      state: GroupState[PartitionState]): Iterator[(Int, InsertionOnlyND.Shard)] = {
-    val (runs, degrees) = state.getOption.getOrElse(
-      (InsertionOnlyND.runs(cfg.d, cfg.c, cfg.s, cfg.seed), new DegreeTracker))
-    InsertionOnlyND.feed(events.toVector.sortBy(_.pos).map(ev => Edge(ev.item, ev.witness)),
-      runs, degrees)
-    state.update((runs, degrees))
-    Iterator.single((part, InsertionOnlyND.shard(runs, degrees)))
+      state: GroupState[Partition]): Iterator[(Int, Shard)] = {
+    val partition = state.getOption.getOrElse(cfg.partition())
+      .feed(events.toVector.sortBy(_.pos).map(ev => Edge(ev.item, ev.witness)))
+    state.update(partition)
+    Iterator.single((part, partition.shard))
   }
 
   /** Wire the operator over a streaming Dataset of events, with `parts`
     * state keys.
     */
   private def shards(events: Dataset[WitnessEvent], parts: Int,
-                     cfg: Config): Dataset[(Int, InsertionOnlyND.Shard)] = {
+                     cfg: Params): Dataset[(Int, Shard)] = {
     val spark = events.sparkSession
     import spark.implicits._
-    implicit val stateEncoder: Encoder[PartitionState] = Encoders.javaSerialization[PartitionState]
+    implicit val stateEncoder: Encoder[Partition] = Encoders.javaSerialization[Partition]
     events
       .groupByKey(ev => VertexPartitions.partitionOf(ev.item, parts))
-      .flatMapGroupsWithState[PartitionState, (Int, InsertionOnlyND.Shard)](
+      .flatMapGroupsWithState[Partition, (Int, Shard)](
         OutputMode.Update, GroupStateTimeout.NoTimeout)(updatePartition(cfg))
   }
 
@@ -111,7 +105,7 @@ object StreamingWitness {
     *   the restart return a shard.
     */
   def latestShards(spark: SparkSession, records: Seq[WitnessRecord], nBatches: Int,
-                   cfg: Config, checkpoint: Option[Path] = None): Vector[InsertionOnlyND.Shard] = {
+                   cfg: Params, checkpoint: Option[Path] = None): Vector[Shard] = {
     require(nBatches >= 1, s"nBatches must be >= 1, got $nBatches")
     val dir = checkpoint.getOrElse(Files.createTempDirectory(TempCheckpointPrefix))
     try runQuery(spark, records, nBatches, cfg, dir, checkpoint.flatMap(resumePoint(spark, _)))
@@ -119,8 +113,8 @@ object StreamingWitness {
   }
 
   private def runQuery(spark: SparkSession, records: Seq[WitnessRecord], nBatches: Int,
-                       cfg: Config, dir: Path,
-                       resumed: Option[(Int, Int)]): Vector[InsertionOnlyND.Shard] = {
+                       cfg: Params, dir: Path,
+                       resumed: Option[(Int, Int)]): Vector[Shard] = {
     import spark.implicits._
     implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
     val events = records.zipWithIndex.map { case (r, i) =>
@@ -131,12 +125,12 @@ object StreamingWitness {
     val (replayed, fresh) = events.grouped(batchSize).toVector.splitAt(planned)
     val source = MemoryStream[WitnessEvent]
     replayed.foreach(source.addData(_))
-    val latest = TrieMap.empty[Int, InsertionOnlyND.Shard]
+    val latest = TrieMap.empty[Int, Shard]
     val writer = shards(source.toDS(), parts, cfg)
       .writeStream
       .outputMode("update")
       .option("checkpointLocation", dir.toUri.toString)
-      .foreachBatch { (batch: Dataset[(Int, InsertionOnlyND.Shard)], _: Long) =>
+      .foreachBatch { (batch: Dataset[(Int, Shard)], _: Long) =>
         batch.collect().foreach { case (part, shard) => latest.update(part, shard) }
       }
     val query = withSessionConf(spark, Seq(
@@ -186,15 +180,14 @@ object StreamingWitness {
 
   /** End-to-end micro-batched execution: feed `records` in `nBatches`
     * micro-batches through the stateful query with [[latestShards]], then
-    * merge the shards ([[InsertionOnlyND.merge]]).
+    * merge the shards ([[InsertionOnlyND.Params.merge]]).
     *
     * @return (report, per-run success flags, the merged result's
     *         `totalPeakWords`)
     */
   def runMicroBatched(spark: SparkSession, records: Seq[WitnessRecord], nBatches: Int,
-                      cfg: Config): (Option[FrequentItemReport], Vector[Boolean], Long) = {
-    val res = InsertionOnlyND.merge(latestShards(spark, records, nBatches, cfg),
-      cfg.c, cfg.s, cfg.d2, cfg.seed)
+                      cfg: Params): (Option[FrequentItemReport], Vector[Boolean], Long) = {
+    val res = cfg.merge(latestShards(spark, records, nBatches, cfg))
     (FrequentWitness.report(res), res.runSucceeded, res.totalPeakWords)
   }
 }

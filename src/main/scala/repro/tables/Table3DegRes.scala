@@ -29,7 +29,7 @@ object Table3DegRes {
           (1 to deg).map(i => Edge(a.toLong, a * 1000L + i))
         }.toVector)
         val alg = new DegResSampling(D1, D2, s, seed = 13L * t + n1, run = 0)
-        InsertionOnlyND.feed(edges, Vector(alg))
+        new InsertionOnlyND.Partition(Vector(alg)).feed(edges)
         if (alg.succeeded) succ += 1
       }
       Cell(n1, n2, s, Trials, succ, bound)

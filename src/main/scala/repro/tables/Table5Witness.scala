@@ -69,9 +69,9 @@ object Table5Witness {
     // ---- Structured Streaming operator (micro-batched) --------------------
     val (sRecs, sFreq) = SynthGraphs.zipfWitnessStream(NItems, total = 30000L, Alpha, seed = 2)
     val sd = sFreq.values.max.toInt
-    val cfg = StreamingWitness.Config(NItems, sd, c = 2, seed = 21)
+    val cfg = InsertionOnlyND.Params(NItems, sd, c = 2, seed = 21)
     val shards = StreamingWitness.latestShards(spark, sRecs, nBatches = 8, cfg)
-    val sRes = InsertionOnlyND.merge(shards, cfg.c, cfg.s, cfg.d2, cfg.seed)
+    val sRes = cfg.merge(shards)
     val sRep = FrequentWitness.report(sRes)
     val sR = sRep.get
     val sTrueW = sRecs.filter(_.item == sR.item).map(_.witness).toSet

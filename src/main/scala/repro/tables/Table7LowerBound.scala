@@ -37,10 +37,10 @@ object Table7LowerBound {
     // (b) multi-party Set-Disjointness decided by output size.
     var disjOk = 0; var interOk = 0; var sdWords = 0L
     for (t <- 1 to Trials) {
-      val di = SetDisjointnessRed.sampleDisjoint(3, 48, 8, seed = 100L + t)
+      val di = SetDisjointnessRed.sample(3, 48, 8, seed = 100L + t, intersecting = false)
       val dd = SetDisjointnessRed.simulate(di, k = 8, seed = 200L + t)
       if (!dd.saidIntersecting) disjOk += 1
-      val ii = SetDisjointnessRed.sampleIntersecting(3, 48, 8, seed = 300L + t)
+      val ii = SetDisjointnessRed.sample(3, 48, 8, seed = 300L + t, intersecting = true)
       val id = SetDisjointnessRed.simulate(ii, k = 8, seed = 400L + t)
       if (id.saidIntersecting) interOk += 1
       sdWords += dd.stateWords + id.stateWords

@@ -20,7 +20,7 @@ class DegResSamplingSpec extends SparkSpec {
   /** Feed edges through a tracker + single sampler. */
   private def feed(edges: Seq[Edge], d1: Int, d2: Int, s: Int, seed: Long): DegResSampling = {
     val alg = new DegResSampling(d1, d2, s, seed, run = 0)
-    InsertionOnlyND.feed(edges, Vector(alg))
+    new InsertionOnlyND.Partition(Vector(alg)).feed(edges)
     alg
   }
 

@@ -1,5 +1,13 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+
+import scala.util.Random
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+
 import repro.SparkSpec
 import repro.SynthGraphs
 
@@ -48,6 +56,68 @@ class InsertionOnlyNDSpec extends SparkSpec {
     }
     assert(picked.distinct.size > 1, "the pick must vary with the seed")
     assert(InsertionOnlyND.pick(Vector(None, None), 1L).isEmpty)
+  }
+
+  /** The shard of `runs` fed `edges` with the loop a [[InsertionOnlyND.Partition]]
+    * shortens: every run is given every edge.
+    */
+  private def everyRunEveryEdge(edges: Seq[Edge], runs: Vector[Vector[DegResSampling]])
+      : Vector[InsertionOnlyND.Shard] = {
+    val degrees = new DegreeTracker
+    edges.foreach { e =>
+      val nd = degrees.bump(e.a)
+      runs.foreach(_.foreach(_.process(e, nd)))
+    }
+    runs.map(rs => InsertionOnlyND.Shard(rs.map(_.storedNeighborhoods), rs.map(_.peakWords), degrees.words))
+  }
+
+  test("a Partition's shards do not depend on the order of its runs") {
+    // Runs of several (d, seed), as Star Detection's guesses are, given in
+    // a random order: each guess's shard is the one of every run seeing
+    // every edge, and `runs` and `shard` keep the order given.
+    val cases = for {
+      ds <- Gen.choose(2, 6).flatMap(Gen.listOfN(_, Gen.choose(1, 48)))
+      c <- Gen.choose(2, 5)
+      s <- Gen.choose(1, 6)
+      seed <- Gen.long
+    } yield (ds.toVector, c, s, seed)
+    val prop = Prop.forAllNoShrink(cases) { case (ds, c, s, seed) =>
+      val (edges, _) = SynthGraphs.zipfDegrees(64, 256, d = 40, alpha = 1.0, minDeg = 1, seed)
+      val params = ds.zipWithIndex.map { case (d, g) => InsertionOnlyND.Params(64, d, c, seed + g, Some(s)) }
+      val runs = params.map(_.runs())
+      val want = everyRunEveryEdge(edges, params.map(_.runs()))
+      val order = new Random(seed).shuffle(runs.flatten)
+      val part = new InsertionOnlyND.Partition(order).feed(edges)
+      val clue = s"ds=$ds c=$c s=$s seed=$seed"
+      assert(part.runs == order, clue)
+      runs.zip(want).foreach { case (rs, w) => assert(part.shard(rs) == w, clue) }
+      val wantOf = runs.flatten.zip(want.flatMap(w => w.stored.zip(w.peakWords))).toMap
+      val all = part.shard
+      assert(all.stored.zip(all.peakWords) == order.map(wantOf), clue)
+      assert(all.degreeWords == want.head.degreeWords, clue)
+      Prop.passed
+    }
+    val result = Test.check(Test.Parameters.default.withInitialSeed(Seed(20L)), prop)
+    assert(result.passed, Pretty.pretty(result, Pretty.Params(2)))
+  }
+
+  test("a Partition serialized halfway through a stream continues as if uninterrupted") {
+    val p = InsertionOnlyND.Params(256, 32, 3, seed = 12)
+    val (edges, _) = SynthGraphs.zipfDegrees(256, 1024, d = 32, alpha = 1.0, minDeg = 1, seed = 11)
+    val (before, after) = edges.splitAt(edges.size / 2)
+    val half = p.partition().feed(before)
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(half)
+    out.close()
+    val copy = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[InsertionOnlyND.Partition]
+    assert(copy.degrees.words == half.degrees.words)
+    assert(copy.shard == half.shard)
+    val resumed = copy.feed(after).shard
+    val whole = p.partition().feed(edges).shard
+    assert(resumed == whole)
+    assert(whole.stored.exists(_.nonEmpty), "the runs must hold neighborhoods")
   }
 
   // Success + validity + size across instance families and parameters.

@@ -74,16 +74,16 @@ class BitVectorLearningSpec extends SparkSpec {
 class SetDisjointnessRedSpec extends SparkSpec {
 
   test("instance shapes: disjoint vs uniquely intersecting") {
-    val d1 = SetDisjointnessRed.sampleDisjoint(3, 60, 10, seed = 1)
+    val d1 = SetDisjointnessRed.sample(3, 60, 10, seed = 1, intersecting = false)
     assert(d1.sets.combinations(2).forall { case Vector(a, b) => (a & b).isEmpty; case _ => true })
-    val d2 = SetDisjointnessRed.sampleIntersecting(3, 60, 10, seed = 2)
+    val d2 = SetDisjointnessRed.sample(3, 60, 10, seed = 2, intersecting = true)
     val common = d2.sets.reduce(_ & _)
     assert(common.size == 1 && common.head == d2.common.get)
   }
 
   test("construction degrees: k if disjoint, kp at the common element") {
     val k = 4
-    val inst = SetDisjointnessRed.sampleIntersecting(3, 40, 6, seed = 3)
+    val inst = SetDisjointnessRed.sample(3, 40, 6, seed = 3, intersecting = true)
     val edges = (1 to 3).flatMap(i => SetDisjointnessRed.partyEdges(inst, i, k))
     val deg = edges.groupBy(_.a).map { case (a, es) => a -> es.size }
     assert(deg(inst.common.get) == k * 3)
@@ -92,19 +92,19 @@ class SetDisjointnessRedSpec extends SparkSpec {
 
   for (seed <- 1 to 5) {
     test(s"decides intersecting instances correctly (seed=$seed)") {
-      val inst = SetDisjointnessRed.sampleIntersecting(3, 48, 8, seed = 40L + seed)
+      val inst = SetDisjointnessRed.sample(3, 48, 8, seed = 40L + seed, intersecting = true)
       val dec = SetDisjointnessRed.simulate(inst, k = 8, seed = 50L + seed)
       assert(dec.saidIntersecting, s"output size ${dec.outputSize} <= ${dec.threshold}")
     }
     test(s"decides disjoint instances correctly (seed=$seed)") {
-      val inst = SetDisjointnessRed.sampleDisjoint(3, 48, 8, seed = 60L + seed)
+      val inst = SetDisjointnessRed.sample(3, 48, 8, seed = 60L + seed, intersecting = false)
       val dec = SetDisjointnessRed.simulate(inst, k = 8, seed = 70L + seed)
       assert(!dec.saidIntersecting, s"output size ${dec.outputSize} > ${dec.threshold}")
     }
   }
 
   test("simulate validates parameters") {
-    val inst = SetDisjointnessRed.sampleDisjoint(3, 48, 8, seed = 1)
+    val inst = SetDisjointnessRed.sample(3, 48, 8, seed = 1, intersecting = false)
     intercept[IllegalArgumentException](SetDisjointnessRed.simulate(inst, k = 1, seed = 1))
   }
 }

@@ -89,6 +89,6 @@ class SparkL0Spec extends SparkSpec {
     val shuffled = new scala.util.Random(57).shuffle(ops)
     val r1 = SparkL0.run(spark, ops, cfg)
     val r2 = SparkL0.run(spark, shuffled, cfg)
-    assert(r1.output == r2.output && r1.strategy == r2.strategy)
+    assert(r1 == r2)
   }
 }

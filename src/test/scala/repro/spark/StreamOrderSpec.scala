@@ -62,7 +62,7 @@ class StreamOrderSpec extends SparkSpec {
         SparkDegResSpec.assertMatches(
           SparkDegRes.run(SynthGraphs.edgesDf(spark, stream), n, d, c, seed), seq, d, c, clue)
         val (report, succ, _) = StreamingWitness.runMicroBatched(spark,
-          stream.map(e => WitnessRecord(e.a, e.b)), 3, StreamingWitness.Config(n, d, c, seed))
+          stream.map(e => WitnessRecord(e.a, e.b)), 3, InsertionOnlyND.Params(n, d, c, seed))
         assert(report.contains(FrequentItemReport(nb.a, nb.neighbors)), clue)
         assert(succ == seq.runSucceeded, clue)
         Prop.passed

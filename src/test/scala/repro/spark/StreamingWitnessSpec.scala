@@ -31,7 +31,7 @@ class StreamingWitnessSpec extends SparkSpec {
     // count; the degree tables hold each item once.
     val (recs, freq) = stream(50, 600, 1.1, seed = 1)
     val d = freq.values.max.toInt
-    val cfg = StreamingWitness.Config(nItems = 50, d = d, c = 2, seed = 2)
+    val cfg = InsertionOnlyND.Params(n = 50, d = d, c = 2, seed = 2)
     import spark.implicits._
     val shards = StreamingWitness.latestShards(spark, recs, nBatches = 3, cfg)
     val truth = recs.map(r => (r.item, r.witness)).toDF("item", "witness")
@@ -57,7 +57,7 @@ class StreamingWitnessSpec extends SparkSpec {
     // run 0 (d1=1) buffers the first 4 witnesses, run 1 (d1=4) buffers
     // witnesses of occurrences 4..7.
     val recs = (1 to 10).map(i => WitnessRecord(3, i * 100L))
-    val cfg = StreamingWitness.Config(nItems = 5, d = 8, c = 2, seed = 4)
+    val cfg = InsertionOnlyND.Params(n = 5, d = 8, c = 2, seed = 4)
     val (report, succ, _) = StreamingWitness.runMicroBatched(spark, recs, nBatches = 3, cfg)
     assert(succ == Vector(true, true))
     assert(report.nonEmpty)
@@ -69,7 +69,7 @@ class StreamingWitnessSpec extends SparkSpec {
   test("micro-batch boundaries do not change the outcome (1 vs 7 batches)") {
     val (recs, freq) = stream(40, 500, 1.2, seed = 11)
     val d = freq.values.max.toInt
-    val cfg = StreamingWitness.Config(nItems = 40, d = d, c = 2, seed = 12)
+    val cfg = InsertionOnlyND.Params(n = 40, d = d, c = 2, seed = 12)
     val r1 = StreamingWitness.runMicroBatched(spark, recs, nBatches = 1, cfg)
     val r7 = StreamingWitness.runMicroBatched(spark, recs, nBatches = 7, cfg)
     assert(r1._1 == r7._1, "report must be batch-count invariant")
@@ -79,7 +79,7 @@ class StreamingWitnessSpec extends SparkSpec {
   test("reported witnesses are true witnesses of a sufficiently frequent item") {
     val (recs, freq) = stream(60, 900, 1.1, seed = 21)
     val d = freq.values.max.toInt
-    val cfg = StreamingWitness.Config(nItems = 60, d = d, c = 3, seed = 22)
+    val cfg = InsertionOnlyND.Params(n = 60, d = d, c = 3, seed = 22)
     val (report, _, _) = StreamingWitness.runMicroBatched(spark, recs, nBatches = 4, cfg)
     assert(report.nonEmpty)
     val r = report.get
@@ -95,7 +95,7 @@ class StreamingWitnessSpec extends SparkSpec {
     val (recs, freq) = stream(30, 400, 1.0, seed = 31)
     val d = freq.values.max.toInt
     for (c <- Seq(2, 3)) {
-      val cfg = StreamingWitness.Config(nItems = 30, d = d, c = c, seed = 32)
+      val cfg = InsertionOnlyND.Params(n = 30, d = d, c = c, seed = 32)
       val (want, seq) = FrequentWitness.runDetailed(recs, 30, d, c, seed = 32)
       for (nBatches <- Seq(1, 5)) {
         val (report, succ, _) = StreamingWitness.runMicroBatched(spark, recs, nBatches, cfg)
@@ -109,7 +109,7 @@ class StreamingWitnessSpec extends SparkSpec {
     // would hold nearly every key; the operator holds each partition's
     // reservoirs only.
     val (recs, _) = stream(200, 3000, 1.1, seed = 61)
-    val cfg = StreamingWitness.Config(nItems = 200, d = 4, c = 2, seed = 62)
+    val cfg = InsertionOnlyND.Params(n = 200, d = 4, c = 2, seed = 62)
     val parts = VertexPartitions.corePartitions(spark)
     val (want, seq) = FrequentWitness.runDetailed(recs, 200, 4, 2, seed = 62)
     assert(want.nonEmpty)
@@ -127,8 +127,8 @@ class StreamingWitnessSpec extends SparkSpec {
 
   test("Config and nBatches validation") {
     intercept[IllegalArgumentException](
-      StreamingWitness.Config(nItems = 10, d = 4, c = 1, seed = 1))
-    val cfg = StreamingWitness.Config(nItems = 10, d = 4, c = 2, seed = 1)
+      InsertionOnlyND.Params(n = 10, d = 4, c = 1, seed = 1))
+    val cfg = InsertionOnlyND.Params(n = 10, d = 4, c = 2, seed = 1)
     val recs = (1 to 4).map(i => WitnessRecord(1, i.toLong))
     for (n <- Seq(0, -3)) {
       val e = intercept[IllegalArgumentException](
@@ -139,7 +139,7 @@ class StreamingWitnessSpec extends SparkSpec {
 
   test("Config rejects d < 1 as the sequential build does, naming the value") {
     val e = intercept[IllegalArgumentException](
-      StreamingWitness.Config(nItems = 10, d = 0, c = 2, seed = 1))
+      InsertionOnlyND.Params(n = 10, d = 0, c = 2, seed = 1))
     assert(e.getMessage.contains("degree threshold must be >= 1, got 0"))
   }
 
@@ -147,7 +147,7 @@ class StreamingWitnessSpec extends SparkSpec {
     val before = spark.conf.get(shufflePartitions)
     val expected = math.min(before.toInt, spark.sparkContext.defaultParallelism)
     val (recs, freq) = stream(20, 200, 1.1, seed = 51)
-    val cfg = StreamingWitness.Config(nItems = 20, d = freq.values.max.toInt, c = 2, seed = 52)
+    val cfg = InsertionOnlyND.Params(n = 20, d = freq.values.max.toInt, c = 2, seed = 52)
     val (_, seen) = statePartitionsSeen(StreamingWitness.runMicroBatched(spark, recs, nBatches = 2, cfg))
     assert(seen == Set(expected.toLong), s"state partitions $seen, expected $expected")
     assert(spark.conf.get(shufflePartitions) == before, "session shuffle partitions must be restored")
@@ -197,14 +197,14 @@ class StreamingWitnessSpec extends SparkSpec {
   test("a query stopped after k of n batches resumes from its checkpoint with the same result") {
     val (recs, freq) = stream(60, 900, 1.1, seed = 71)
     val d = freq.values.max.toInt
-    val cfg = StreamingWitness.Config(nItems = 60, d = d, c = 2, seed = 72)
+    val cfg = InsertionOnlyND.Params(n = 60, d = d, c = 2, seed = 72)
     val (want, seq) = FrequentWitness.runDetailed(recs, 60, d, 2, seed = 72)
     val n = 5
     val batchSize = math.ceil(recs.size.toDouble / n).toInt
     val parts = VertexPartitions.corePartitions(spark)
     val (whole, wholeParts) = statePartitionsSeen(StreamingWitness.latestShards(spark, recs, n, cfg))
     assert(wholeParts == Set(parts.toLong))
-    val uninterrupted = InsertionOnlyND.merge(whole, cfg.c, cfg.s, cfg.d2, cfg.seed)
+    val uninterrupted = cfg.merge(whole)
     assert(FrequentWitness.report(uninterrupted) == want && uninterrupted.runSucceeded == seq.runSucceeded)
     val sessionPartitions = spark.conf.get(shufflePartitions)
     for (k <- Seq(1, 3)) {
@@ -229,7 +229,7 @@ class StreamingWitnessSpec extends SparkSpec {
         finally spark.conf.set(shufflePartitions, sessionPartitions)
         assert(resumedParts == Set(parts.toLong), s"k=$k: state partitions after the restart")
         assert(resumed.toSet == whole.toSet, s"k=$k: shards differ from the uninterrupted run's")
-        assert(InsertionOnlyND.merge(resumed, cfg.c, cfg.s, cfg.d2, cfg.seed) == uninterrupted, s"k=$k")
+        assert(cfg.merge(resumed) == uninterrupted, s"k=$k")
       } finally deleteTree(dir)
     }
   }
@@ -239,7 +239,7 @@ class StreamingWitnessSpec extends SparkSpec {
     // a readlink process per file; FileSystem.rename does not.
     assume(!NativeCodeLoader.isNativeCodeLoaded, "native Hadoop starts no process per file")
     val (recs, freq) = stream(20, 200, 1.1, seed = 81)
-    val cfg = StreamingWitness.Config(nItems = 20, d = freq.values.max.toInt, c = 2, seed = 82)
+    val cfg = InsertionOnlyND.Params(n = 20, d = freq.values.max.toInt, c = 2, seed = 82)
     val commands = processStarts(StreamingWitness.runMicroBatched(spark, recs, nBatches = 2, cfg))
       .filter(_.contains(StreamingWitness.TempCheckpointPrefix))
     // The permission changes still start processes, which shows the
@@ -260,7 +260,7 @@ class StreamingWitnessSpec extends SparkSpec {
       keys.map(k => k -> set.get(k)).toMap
     }
     val (recs, freq) = stream(20, 200, 1.1, seed = 91)
-    val cfg = StreamingWitness.Config(nItems = 20, d = freq.values.max.toInt, c = 2, seed = 92)
+    val cfg = InsertionOnlyND.Params(n = 20, d = freq.values.max.toInt, c = 2, seed = 92)
     val saved = confs
     def leavesAsFound(): Unit = {
       val before = confs
