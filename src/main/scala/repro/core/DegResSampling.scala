@@ -110,9 +110,9 @@ object DegreeTracker {
   * `d1`, so a surviving sampled vertex of final degree `deg` holds a
   * neighborhood of size min(d2, deg - d1 + 1).
   *
-  * `succeeded` iff some stored neighborhood reaches size d2; `result` then
-  * returns the one of least priority, a uniform random one among those
-  * (Lemma 3.1 gives the success probability >= 1 - (1 - s/n1)^n2).
+  * `succeeded` iff some stored neighborhood reaches size d2 (Lemma 3.1
+  * gives the probability >= 1 - (1 - s/n1)^n2); every build reports the
+  * full one of least priority by [[InsertionOnlyND.Params.merge]].
   *
   * Degrees are maintained by an external shared [[DegreeTracker]]; callers
   * must `bump` once per edge and pass the updated degree to [[process]].
@@ -167,7 +167,4 @@ final class DegResSampling(val d1: Int, val d2: Int, val s: Int, seed: Long, run
     reservoir.toVector.sorted.map { case (_, a) => Neighborhood(a, collected(a).toVector) }
 
   def succeeded: Boolean = collected.valuesIterator.exists(_.size >= d2)
-
-  /** The full neighborhood of least priority; None = fail. */
-  def result(): Option[Neighborhood] = storedNeighborhoods.find(_.size >= d2)
 }

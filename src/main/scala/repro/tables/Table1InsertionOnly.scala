@@ -4,8 +4,9 @@ import repro.SynthGraphs
 import repro.core.{InsertionOnlyND, Neighborhood}
 
 /** Table 1 — insertion-only Neighborhood Detection (Theorem 3.2): success
-  * rate vs the 1 - 1/n floor, output size vs floor(d/c), validity, across
-  * instance families and (n, d, c).
+  * rate vs the 1 - 1/n floor, output size vs floor(d/c), and validity
+  * against the output vertex's own edges, across instance families and
+  * (n, d, c).
   */
 object Table1InsertionOnly {
 
@@ -33,7 +34,7 @@ object Table1InsertionOnly {
         val res = InsertionOnlyND.run(edges, n, D, c, seed = 77L * t + c)
         res.output.foreach { nb =>
           succ += 1
-          if (Neighborhood.isValid(nb, SynthGraphs.adjacency(edges))) valid += 1
+          if (Neighborhood.isValid(nb, Map(nb.a -> edges.iterator.filter(_.a == nb.a).map(_.b).toSet))) valid += 1
           if (nb.size == InsertionOnlyND.targetSize(D, c)) sizeOk += 1
         }
       }

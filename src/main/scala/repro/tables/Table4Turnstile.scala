@@ -79,9 +79,7 @@ object Table4Turnstile {
 
   def run(spark: SparkSession): TableOutput = {
     val cells = block(spark, Cv, Ce)
-    val t0 = System.nanoTime()
     val paper = block(spark, cv = 10.0, ce = 10.0)
-    val paperSeconds = (System.nanoTime() - t0) / 1e9
     val theory = Cs.map(c => c -> (N.toDouble * D / (c.toDouble * c))).toMap
     val rows = (cells ++ paper).map { cl =>
       Vector(cl.regime, s"${cl.cv}/${cl.ce}", cl.n.toString, cl.d.toString, cl.c.toString,
@@ -116,7 +114,7 @@ object Table4Turnstile {
       notes = Vector(
         s"checks read the cv/ce = $Cv/$Ce block (paper uses 10/10 for whp proofs); chaff=$Chaff of edges inserted+deleted.",
         "vFail/eFail: vertex / edge sketches that failed to decode, summed over the trials.",
-        f"paper-constant block: $paperSeconds%.1f s, peak words ${TableFormat.words(paper.map(_.peakWords).max)}."),
+        s"paper-constant block: peak words ${TableFormat.words(paper.map(_.peakWords).max)}."),
     )
   }
 }

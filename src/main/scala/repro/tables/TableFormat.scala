@@ -17,8 +17,8 @@ final case class TableOutput(
   def render: String = {
     val all = header +: rows
     val widths = header.indices.map(i => all.map(_(i).length).max)
-    def fmt(r: Vector[String]) =
-      r.zipWithIndex.map { case (c, i) => c.padTo(widths(i), ' ') }.mkString("  ")
+    // Every column but the last is padded, so that no line ends in spaces.
+    def fmt(r: Vector[String]) = (r.init.lazyZip(widths).map(_.padTo(_, ' ')) :+ r.last).mkString("  ")
     val sep = widths.map("-" * _).mkString("  ")
     (Vector(s"== $title ==", fmt(header), sep) ++ rows.map(fmt) ++
       notes.map("note: " + _)).mkString("\n")

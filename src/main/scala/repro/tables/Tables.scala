@@ -17,12 +17,12 @@ import org.apache.spark.sql.SparkSession
 object Tables {
 
   /** The SparkSession of the table runs and the test suites: master from
-    * SPARK_MASTER (default `local[*]`), 64 shuffle partitions, and WARN
-    * logging.
+    * SPARK_MASTER (default `local[4]`, so Table 5's P is 4 on every host),
+    * 64 shuffle partitions, and WARN logging.
     */
   def session(appName: String): SparkSession = {
     val s = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[4]"))
       .appName(appName)
       .config("spark.sql.shuffle.partitions", 64)
       .getOrCreate()

@@ -1,6 +1,6 @@
 package repro
 
-import repro.core.{InsertionOnlyND, Neighborhood}
+import repro.core.{Edge, InsertionOnlyND, Neighborhood}
 import repro.sketch.{TurnstileConfig, TurnstileND}
 import repro.lowerbound.BitVectorLearning
 import repro.tables.Table1InsertionOnly
@@ -92,8 +92,7 @@ class WitnessGridSpec extends SparkSpec {
     assert(rep.nonEmpty)
     val r = rep.get
     assert(r.witnessCount == math.max(1, d / c))
-    val trueW = recs.filter(_.item == r.item).map(_.witness).toSet
-    assert(r.witnesses.forall(trueW.contains))
+    assert(Neighborhood.isValid(Neighborhood(r.item, r.witnesses), SynthGraphs.adjacency(recs.map(w => Edge(w.item, w.witness)))))
     assert(freq.getOrElse(r.item, 0L) >= math.max(1, d / c))
   }
 }

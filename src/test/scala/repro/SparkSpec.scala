@@ -19,7 +19,7 @@ import repro.tables.Tables
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM. The session is the table runner's
   * ([[repro.tables.Tables.session]]): master from SPARK_MASTER (default
-  * `local[*]`) and 64 shuffle partitions.
+  * `local[4]`, 4 cores whatever the host has) and 64 shuffle partitions.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

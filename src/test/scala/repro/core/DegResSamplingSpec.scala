@@ -126,14 +126,6 @@ class DegResSamplingSpec extends SparkSpec {
     assert(!feed(edges, 1, 4, 4, 5).succeeded) // nobody has 4 edges
   }
 
-  test("result returns a full neighborhood and fail returns None") {
-    val edges = (1 to 6).map(i => Edge(1, i.toLong))
-    val ok = feed(edges, 1, 4, 2, 6)
-    assert(ok.result().get.size == 4)
-    val fail = feed(edges, 1, 7, 2, 6)
-    assert(fail.result().isEmpty)
-  }
-
   test("reservoir is the s least (priority, a) among crossed vertices after every edge") {
     for (seed <- 1 to 4; run <- Seq(0, 2)) {
       val rng = new Random(seed)
@@ -155,7 +147,7 @@ class DegResSamplingSpec extends SparkSpec {
         val stored = alg.storedNeighborhoods
         assert(stored.map(_.a) == want, s"seed=$seed run=$run after $e")
         stored.foreach(nb => assert(nb.neighbors == byVertex(nb.a).drop(d1 - 1).take(d2).map(_.b)))
-        assert(alg.result().map(_.a) == want.find(byVertex(_).size >= d1 + d2 - 1))
+        assert(alg.succeeded == want.exists(byVertex(_).size >= d1 + d2 - 1))
         everStored ++= want
       }
       assert(everStored.size > s, s"seed=$seed: the stream must evict")
@@ -292,7 +284,7 @@ class DegResSamplingSpec extends SparkSpec {
         n = 50, m = 200, d = 10, bg = 2, seed = seed.toLong)
       val alg = feed(edges, d1 = 5, d2 = 5, s = 3, seed = seed * 7L)
       assert(alg.succeeded, s"seed=$seed")
-      assert(alg.result().get.a == planted)
+      assert(alg.storedNeighborhoods.map(_.a) == Vector(planted))
     }
   }
 }

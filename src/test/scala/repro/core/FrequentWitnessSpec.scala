@@ -28,10 +28,8 @@ class FrequentWitnessSpec extends SparkSpec {
     assert(report.nonEmpty, "promise holds, so the algorithm must succeed whp")
     val r = report.get
     assert(r.witnessCount == math.max(1, d / c))
-    // every reported witness belongs to a real occurrence of the item
-    val trueWitnesses = recs.filter(_.item == r.item).map(_.witness).toSet
-    assert(r.witnesses.forall(trueWitnesses.contains))
-    assert(r.witnesses.distinct.size == r.witnesses.size)
+    // the reported witnesses are distinct occurrences of the item
+    assert(Neighborhood.isValid(Neighborhood(r.item, r.witnesses), SynthGraphs.adjacency(recs.map(w => Edge(w.item, w.witness)))))
   }
 
   test("reported item is actually frequent (>= d/c occurrences)") {
@@ -62,8 +60,7 @@ class FrequentWitnessSpec extends SparkSpec {
     assert(report.nonEmpty)
     val r = report.get
     assert(freq.getOrElse(r.item, 0L) >= d / c)
-    val trueW = recs.filter(_.item == r.item).map(_.witness).toSet
-    assert(r.witnesses.forall(trueW.contains))
+    assert(Neighborhood.isValid(Neighborhood(r.item, r.witnesses), SynthGraphs.adjacency(recs.map(w => Edge(w.item, w.witness)))))
   }
 
   test("witness records map to the documented bipartite edges") {

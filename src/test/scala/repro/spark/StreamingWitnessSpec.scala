@@ -12,7 +12,7 @@ import org.apache.spark.sql.execution.streaming.checkpointing.FileContextBasedCh
 import org.apache.spark.sql.streaming.{StreamingQueryException, StreamingQueryListener}
 
 import repro.{Oracle, SparkSpec, SynthGraphs}
-import repro.core.{FrequentWitness, InsertionOnlyND, WitnessRecord}
+import repro.core.{Edge, FrequentWitness, InsertionOnlyND, Neighborhood, WitnessRecord}
 
 /** Tests for the Structured Streaming stateful operator (S8): per-key
   * counts, witness collection rule, micro-batch invariance, final
@@ -84,8 +84,7 @@ class StreamingWitnessSpec extends SparkSpec {
     assert(report.nonEmpty)
     val r = report.get
     assert(r.witnessCount == cfg.d2)
-    val trueW = recs.filter(_.item == r.item).map(_.witness).toSet
-    assert(r.witnesses.forall(trueW.contains))
+    assert(Neighborhood.isValid(Neighborhood(r.item, r.witnesses), SynthGraphs.adjacency(recs.map(w => Edge(w.item, w.witness)))))
     assert(freq(r.item) >= cfg.d2, "reported item must actually be d/c-frequent")
   }
 

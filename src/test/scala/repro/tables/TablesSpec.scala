@@ -1,11 +1,14 @@
 package repro.tables
 
-import org.scalatest.funsuite.AnyFunSuite
+import java.nio.charset.StandardCharsets.UTF_8
+import java.nio.file.{Files, Paths}
 
-/** The table runner's id handling and exit-code rule, and Table 6 run end
-  * to end (sequential, 4 cells).
+import repro.SparkSpec
+
+/** The table runner's id handling and exit-code rule, and every table run
+  * end to end: its checks hold, and EXPERIMENTS.md holds its text verbatim.
   */
-class TablesSpec extends AnyFunSuite {
+class TablesSpec extends SparkSpec {
 
   test("registry holds exactly ids 1..7, each once") {
     assert(Tables.registry.keys.toSeq == (1 to 7).map(_.toString))
@@ -34,10 +37,24 @@ class TablesSpec extends AnyFunSuite {
     assert(Tables.failedChecks(Seq(table("a" -> true))).isEmpty)
   }
 
-  test("Table 6 runs its 4 cells and every check holds") {
-    val out = Table6Star.run()
-    assert(out.rows.size == 4)
-    assert(out.checks.nonEmpty)
-    assert(Tables.failedChecks(Seq(out)).isEmpty, out.render)
+  test("the session runs on local[4] unless SPARK_MASTER is set, whatever the core count") {
+    assert(spark.sparkContext.master == sys.env.getOrElse("SPARK_MASTER", "local[4]"))
   }
+
+  // EXPERIMENTS.md, at the repository root, is the one record of the
+  // tables: each table's text is a fenced block there, exactly as the
+  // runner prints it, so a change to any row, check or note shows here.
+  private lazy val experiments =
+    new String(Files.readAllBytes(Paths.get("EXPERIMENTS.md")), UTF_8)
+
+  // Tables 4 and 5 get this suite's shared session: Tables.session's
+  // getOrCreate returns the one running.
+  for (id <- Tables.registry.keys)
+    test(s"Table $id: every check holds and EXPERIMENTS.md holds its text verbatim") {
+      val out = Tables.registry(id)()
+      assert(out.checks.nonEmpty)
+      assert(Tables.failedChecks(Seq(out)).isEmpty, out.render)
+      if (!experiments.contains(s"```\n${out.render}\n```\n"))
+        fail(s"EXPERIMENTS.md has no fenced block equal to Table $id's text:\n${out.render}")
+    }
 }
